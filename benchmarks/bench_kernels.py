@@ -1,21 +1,17 @@
 """Compare the numba and numpy kernel backends.
 
-Times the labeled edge-subset scan and the power iteration on both backends
-and prints a small table.  The scan is the hot loop of class enumeration;
-the power iteration dominates the per-graph spectral work.
+Times the labeled edge-subset scan, the hot loop of class enumeration, on
+both backends and prints a small table.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--scan-n 7] [--repeat 3]
 """
 
 import argparse
-import random
 import time
 
 from alphax import kernels
 from alphax.enumeration import ClassFilter, scan_plan
-from alphax.graph import Graph, pair_count
-from alphax.spectral import build_alpha_matrix
 
 
 def time_call(fn, repeat):
@@ -47,34 +43,10 @@ def bench_scan(n, class_name, backends, repeat):
     return rows
 
 
-def bench_power(count, size, backends, repeat):
-    rng = random.Random(1)
-    mats = []
-    while len(mats) < count:
-        mask = rng.getrandbits(pair_count(size))
-        g = Graph.from_edge_mask(size, mask)
-        if g.is_connected():
-            mats.append((build_alpha_matrix(g, 0.6), float(g.max_degree())))
-    rows = []
-    for backend in backends:
-        def fn():
-            acc = 0.0
-            for mat, shift in mats:
-                radius, *_ = kernels.power_iteration(mat, shift, 1e-10, 100_000, backend=backend)
-                acc += radius
-            return acc
-        fn()
-        secs, acc = time_call(fn, repeat)
-        rows.append((f"power iteration x{count} (n={size})", backend, secs, f"sum {acc:.6f}"))
-    return rows
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--scan-n", type=int, default=7, help="order for the scan benchmark")
     ap.add_argument("--repeat", type=int, default=3, help="take the best of this many runs")
-    ap.add_argument("--power-count", type=int, default=300)
-    ap.add_argument("--power-size", type=int, default=10)
     args = ap.parse_args()
 
     backends = (["numba"] if kernels.HAS_NUMBA else []) + ["numpy"]
@@ -84,7 +56,6 @@ def main():
     rows = []
     rows += bench_scan(args.scan_n, "min-2-edge-connected", backends, args.repeat)
     rows += bench_scan(min(args.scan_n - 1, 6), "all-connected", backends, args.repeat)
-    rows += bench_power(args.power_count, args.power_size, backends, args.repeat)
 
     width = max(len(r[0]) for r in rows)
     print(f"{'task':<{width}}  {'backend':<7}  {'seconds':>9}  result")

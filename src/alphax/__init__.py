@@ -1,5 +1,7 @@
 """alphax: extremal alpha-index search over minimally connected graph classes."""
 
+__version__ = "0.1.0"  # the one version source: pyproject and reports read it
+
 from .canonical import CanonicalForm, CapabilityError, are_isomorphic, canonical_form
 from .connectivity import (
     ClassMembership,
@@ -41,6 +43,7 @@ from .graph6 import Graph6Error, parse_graph6, parse_graph6_lines, write_graph6
 from .spectral import (
     ConvergenceError,
     SpectralResult,
+    alpha_indices,
     bound_lower_delta,
     bound_upper_degree,
     bound_upper_edge,
@@ -48,5 +51,3 @@ from .spectral import (
     column_sum_certificate,
     spectral_radius,
 )
-
-__version__ = "0.1.0"

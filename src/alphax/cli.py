@@ -21,7 +21,6 @@ from .enumeration import ClassFilter, enumerate_class, ingest_class
 from .graph import Graph, parse_edge_list
 from .graph6 import Graph6Error, parse_graph6, parse_graph6_lines, write_graph6
 from .spectral import (
-    DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
     ConvergenceError,
     bound_lower_delta,
@@ -101,9 +100,9 @@ def _write_reports(reports, out: str | None) -> None:
 def _cmd_rho(args) -> int:
     g = load_graph(args.graph)
     for alpha in _parse_alphas(args.alphas):
-        res = spectral_radius(g, alpha, tol=args.tol, max_iters=args.max_iters)
-        print(f"alpha={alpha!r} rho={res.radius:.12g} "
-              f"residual={res.residual:.3e} iterations={res.iterations}")
+        res = spectral_radius(g, alpha, tol=args.tol)
+        print(f"alpha={alpha!r} rho={res.radius:.12g} residual={res.residual:.3e} "
+              f"enclosure=[{res.lower:.17g}, {res.upper:.17g}]")
         if g.min_degree() >= 1:
             print(f"  upper(degree)={bound_upper_degree(g, alpha):.12g} "
                   f"upper(edge)={bound_upper_edge(g, alpha):.12g} "
@@ -157,7 +156,6 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    kw = dict(tol=args.tol, max_iters=args.max_iters, jobs=args.jobs)
     if args.target == "lemmas":
         checks = verify.verify_lemma_suite(args.n if args.n else 7)
         for c in checks:
@@ -173,12 +171,15 @@ def _cmd_verify(args) -> int:
         "thm11-even": verify.verify_thm11_even,
         "thm12": verify.verify_thm12,
     }[args.target]
-    reports = runner(args.n, alphas, source_graphs=source, **kw)
+    reports = runner(args.n, alphas, source_graphs=source, tol=args.tol)
     _write_reports(reports, args.out)
     for r in reports:
-        verdict = "VIOLATION" if r.violation else (
-            f"tie x{r.ties_within_tolerance}" if r.ties_within_tolerance else "ok"
-        )
+        if r.violation:
+            verdict = "VIOLATION"
+        elif r.ties_within_tolerance:
+            verdict = f"tie x{r.ties_within_tolerance}"
+        else:
+            verdict = "ok" if r.certified_unique else "uncertified"
         print(
             f"{r.class_name} n={r.n} alpha={r.alpha!r}: size={r.class_size} "
             f"max={r.max_value:.9g} argmax={r.argmax_canonical} {verdict}",
@@ -203,10 +204,8 @@ def _cmd_certify_colsums(args) -> int:
         raise UsageError("give a GRAPH argument or both --class and --n")
     all_negative = True
     for g in graphs:
-        for alpha in alphas:
-            sums = column_sum_certificate(g, alpha, args.n_param)
-            worst = max(sums)
-            if worst >= 0:
+        for alpha, sums in zip(alphas, column_sum_certificate(g, alphas, args.n_param)):
+            if max(sums) >= 0:
                 all_negative = False
             if args.graph:
                 joined = " ".join(f"{s:.9g}" for s in sums)
@@ -226,8 +225,8 @@ def build_parser() -> _Parser:
     def add_common_spectral(p):
         p.add_argument("--alphas", default="0.5,0.75",
                        help="comma-separated alpha values (default 0.5,0.75)")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                       help="largest accepted eigenpair residual")
 
     p_rho = sub.add_parser("rho", help="alpha-index with residual and bounds")
     p_rho.add_argument("graph")
@@ -260,8 +259,6 @@ def build_parser() -> _Parser:
     add_common_spectral(p_ver)
     p_ver.add_argument("--in", dest="infile", help="graph6 class file to ingest")
     p_ver.add_argument("--out", help="report path (.json or .csv)")
-    p_ver.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default ALPHAX_JOBS or 1)")
     p_ver.set_defaults(func=_cmd_verify)
 
     p_cert = sub.add_parser("certify-colsums",

@@ -18,6 +18,7 @@ import math
 import re
 
 from .graph import Graph
+from .spectral import validate_alpha
 
 
 def make_path(n: int) -> Graph:
@@ -112,13 +113,6 @@ def parse_family_spec(spec: str) -> Graph:
 # which has no cancellation; only the smaller root would need the D/x trick.
 
 
-def _validate_alpha(alpha: float) -> float:
-    a = float(alpha)
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return a
-
-
 def rho_join_regular(r1: int, n1: int, r2: int, n2: int, alpha: float) -> float:
     """alpha-index of G1 join G2 for an r1-regular G1 on n1 vertices and an
     r2-regular G2 on n2 vertices.
@@ -126,7 +120,7 @@ def rho_join_regular(r1: int, n1: int, r2: int, n2: int, alpha: float) -> float:
     Largest eigenvalue of the 2x2 quotient matrix
     [[r1 + a*n2, (1-a)^2 * n1 * n2], [1, r2 + a*n1]].
     """
-    a = _validate_alpha(alpha)
+    a = validate_alpha(alpha)
     for r, n in ((r1, n1), (r2, n2)):
         if n < 1 or not 0 <= r < n:
             raise ValueError(f"invalid regular part: degree {r} on {n} vertices")
@@ -139,7 +133,7 @@ def rho_join_regular(r1: int, n1: int, r2: int, n2: int, alpha: float) -> float:
 
 def rho_complete_bipartite(a_side: int, b_side: int, alpha: float) -> float:
     """alpha-index of K_{a,b}; the sides may be given in either order."""
-    a = _validate_alpha(alpha)
+    a = validate_alpha(alpha)
     p, q = (a_side, b_side) if a_side >= b_side else (b_side, a_side)
     if q < 1:
         raise ValueError("complete bipartite graph needs both sides non-empty")
@@ -150,7 +144,7 @@ def rho_complete_bipartite(a_side: int, b_side: int, alpha: float) -> float:
 
 def rho_friendship(n: int, alpha: float) -> float:
     """alpha-index of the friendship graph of odd order n = 2k+1."""
-    a = _validate_alpha(alpha)
+    a = validate_alpha(alpha)
     if n < 3 or n % 2 == 0:
         raise ValueError(f"friendship graph order must be odd and >= 3, got {n}")
     disc = (a * n) ** 2 - 10.0 * a * n + 12.0 * a + 4.0 * n - 3.0

@@ -1,4 +1,4 @@
-"""Hot numeric kernels: labeled edge-subset scanning and power iteration.
+"""Hot numeric kernel: labeled edge-subset scanning.
 
 Two interchangeable backends live here.  The default uses numba @njit
 functions; the fallback keeps the scan's cheap mask filtering in vectorized
@@ -316,81 +316,3 @@ def scan_masks(
     if _resolve(backend) == "numba":
         return _scan_numba(n, kind, k, m_lo, m_hi, dmin, require_sorted)
     return _scan_numpy(n, kind, k, m_lo, m_hi, dmin, require_sorted)
-
-
-# ---------------------------------------------------------------------------
-# power iteration
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _power_nb(mat, shift, tol, max_iters):
-    n = mat.shape[0]
-    x = np.full(n, 1.0 / np.sqrt(n))
-    y = np.empty(n)
-    lam = 0.0
-    res = 0.0
-    for it in range(1, max_iters + 1):
-        for i in range(n):
-            s = shift * x[i]
-            for j in range(n):
-                s += mat[i, j] * x[j]
-            y[i] = s
-        lam = 0.0
-        for i in range(n):
-            lam += x[i] * y[i]
-        res = 0.0
-        for i in range(n):
-            d = abs(y[i] - lam * x[i])
-            if d > res:
-                res = d
-        if res <= tol:
-            return lam - shift, x.copy(), res, it
-        norm = 0.0
-        for i in range(n):
-            norm += y[i] * y[i]
-        norm = np.sqrt(norm)
-        for i in range(n):
-            x[i] = y[i] / norm
-    return lam - shift, x.copy(), res, max_iters
-
-
-def _power_numpy(mat, shift, tol, max_iters):
-    n = mat.shape[0]
-    shifted = mat + shift * np.eye(n)
-    x = np.full(n, 1.0 / np.sqrt(n))
-    lam = 0.0
-    res = 0.0
-    for it in range(1, max_iters + 1):
-        y = shifted @ x
-        lam = float(x @ y)
-        res = float(np.max(np.abs(y - lam * x)))
-        if res <= tol:
-            return lam - shift, x, res, it
-        x = y / np.linalg.norm(y)
-    return lam - shift, x, res, max_iters
-
-
-def power_iteration(
-    mat: np.ndarray,
-    shift: float,
-    tol: float,
-    max_iters: int,
-    backend: str | None = None,
-) -> tuple[float, np.ndarray, float, int]:
-    """Dominant eigenpair of mat via power iteration on mat + shift*I.
-
-    Returns (eigenvalue of mat, unit vector, infinity-norm residual of the
-    returned pair, iterations used).  The caller decides whether the residual
-    is acceptable.
-    """
-    if _resolve(backend) == "numba":
-        lam, vec, res, iters = _power_nb(
-            np.ascontiguousarray(mat, dtype=np.float64),
-            float(shift),
-            float(tol),
-            int(max_iters),
-        )
-        return float(lam), vec, float(res), int(iters)
-    lam, vec, res, iters = _power_numpy(mat, float(shift), float(tol), int(max_iters))
-    return float(lam), vec, float(res), int(iters)

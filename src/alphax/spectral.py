@@ -1,27 +1,45 @@
 """The alpha-index: largest eigenvalue of A_alpha(G) = alpha*D + (1-alpha)*A.
 
-The solver is a shifted power iteration on A_alpha + Delta(G) * I.  The shift
-makes the iteration matrix entrywise nonnegative with the same eigenvectors,
-so for a connected graph the dominant eigenpair is the Perron pair and the
-all-ones start vector has positive overlap with it.  Convergence is certified
-by the infinity-norm residual ||A_alpha x - rho x|| <= tol; hitting the
-iteration cap without meeting it raises ConvergenceError carrying the last
-residual.  Disconnected input is handled per component, keeping the largest
-component value.
+Graphs are split into connected components, components of equal order are
+stacked, and each alpha sends the whole stack through one ``np.linalg.eigh``
+call.  Each solve yields a value, the infinity-norm residual ||Mx - rho x||
+of the returned pair (above ``tol`` it raises ConvergenceError), and the
+Collatz-Wielandt enclosure
+
+    min_i (Mx)_i / x_i  <=  rho(M)  <=  max_i (Mx)_i / x_i
+
+for x = |v|, v the top eigenvector.  It holds for any positive x because M is
+nonnegative and, for a connected graph with alpha < 1, irreducible; a zero
+entry of x makes the upper bound +inf.  The interval is widened outward by
+ENCLOSURE_SLACK_ULPS * n machine epsilons of its magnitude.  That covers the
+rounding in M, Mx and the ratios (about (n + 2) eps / 2 relative, all terms
+being nonnegative) and the error of the LAPACK eigenvalue: unwidened, the
+interval missed the ``eigvalsh`` value by up to 0.5 * n * eps relative, on
+the shipped n=8 class over 385 alphas and on 400 random graphs, n <= 12.
+
+At alpha = 1, A_1 = D is reducible, so rho is the maximum degree with the
+exact enclosure [Delta, Delta].  A disconnected graph takes the maximum over
+its components, with the enclosure [max lo, max hi]; K_1 is the 1x1 zero
+matrix.
+
+The test oracle ``helpers.eig_rho`` is LAPACK too, so it is not independent
+of this solver: independence rests on the closed forms of the families
+(acceptance criterion 01) and on the enclosure, which is checked from the
+matrix and the vector alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .graph import Graph, bits, neighbor_degree_sum
-from . import kernels
 
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITERS = 100_000
 CERT_TOL = 1e-9  # max allowed gap between matrix and closed-form column sums
+ENCLOSURE_SLACK_ULPS = 8  # per vertex, relative to the enclosure's magnitude
 
 
 def validate_alpha(alpha: float) -> float:
@@ -32,15 +50,12 @@ def validate_alpha(alpha: float) -> float:
 
 
 class ConvergenceError(RuntimeError):
-    """Power iteration missed the residual target within the iteration cap."""
+    """An eigenpair missed the residual target."""
 
-    def __init__(self, residual: float, iterations: int, tol: float):
-        super().__init__(
-            f"power iteration stalled at residual {residual:.3e} "
-            f"after {iterations} iterations (target {tol:.1e})"
-        )
+    def __init__(self, residual: float, tol: float):
+        super().__init__(f"eigenpair residual {residual:.3e} exceeds the target {tol:.1e}")
         self.residual = residual
-        self.iterations = iterations
+        self.tol = tol
 
 
 @dataclass(frozen=True)
@@ -48,7 +63,18 @@ class SpectralResult:
     radius: float
     perron: np.ndarray
     residual: float
-    iterations: int
+    lower: float
+    upper: float
+
+
+class AlphaIndices(NamedTuple):
+    """Arrays of shape (len(alphas), len(graphs)); ``residual`` is the largest
+    among a graph's component solves."""
+
+    value: np.ndarray
+    residual: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
 
 
 def build_alpha_matrix(g: Graph, alpha: float) -> np.ndarray:
@@ -58,44 +84,97 @@ def build_alpha_matrix(g: Graph, alpha: float) -> np.ndarray:
     return mat
 
 
-def _solve_connected(g: Graph, alpha: float, tol: float, max_iters: int) -> SpectralResult:
-    mat = build_alpha_matrix(g, alpha)
-    shift = float(g.max_degree())
-    radius, vec, residual, iters = kernels.power_iteration(mat, shift, tol, max_iters)
-    if residual > tol:
-        raise ConvergenceError(residual, iters, tol)
-    return SpectralResult(radius=radius, perron=vec, residual=residual, iterations=iters)
+class _Block(NamedTuple):
+    """Components of one order: adjacency (k, n, n), degrees (k, n), the index
+    of the graph each belongs to, and its vertex set in that graph."""
+
+    adj: np.ndarray
+    deg: np.ndarray
+    owner: np.ndarray
+    masks: tuple[int, ...]
 
 
-def spectral_radius(
-    g: Graph,
-    alpha: float,
-    *,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-) -> SpectralResult:
-    """Largest eigenvalue of A_alpha(g) with a certified Perron vector.
+def _blocks(graphs: Sequence[Graph]) -> list[_Block]:
+    """Adjacency matrices and degree vectors of every component, built once."""
+    parts: dict[int, list[tuple[int, int, Graph]]] = {}
+    for idx, g in enumerate(graphs):
+        if g.n == 0:
+            raise ValueError("the alpha-index of the empty graph is undefined")
+        comps = g.component_masks()
+        for mask in comps:
+            sub = g if len(comps) == 1 else g.induced_subgraph(mask)
+            parts.setdefault(sub.n, []).append((idx, mask, sub))
+    return [
+        _Block(
+            np.stack([sub.adjacency_matrix() for _, _, sub in part]),
+            np.array([sub.degrees() for _, _, sub in part], dtype=np.float64),
+            np.array([idx for idx, _, _ in part], dtype=np.intp),
+            tuple(mask for _, mask, _ in part),
+        )
+        for _, part in sorted(parts.items())
+    ]
 
-    For connected g the returned vector is strictly positive with unit
-    2-norm.  For disconnected g the value is the maximum over components and
-    the vector is the winning component's Perron vector embedded in R^n.
+
+def _perron(block: _Block, a: float, tol: float):
+    """(value, x, residual, lower, upper) of A_a on each stacked component;
+    x = |v| has unit 2-norm."""
+    deg = block.deg
+    if a == 1.0:
+        top = deg.max(axis=1)
+        x = (deg == top[:, None]).astype(np.float64)
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        return top, x, np.zeros(len(top)), top, top
+    mat = (1.0 - a) * block.adj
+    diag = np.arange(deg.shape[1])
+    mat[:, diag, diag] += a * deg
+    w, v = np.linalg.eigh(mat)
+    value, x = w[:, -1], np.abs(v[:, :, -1])
+    mx = (mat @ x[:, :, None])[:, :, 0]
+    residual = np.max(np.abs(mx - value[:, None] * x), axis=1)
+    if residual.max() > tol:
+        raise ConvergenceError(float(residual.max()), tol)
+    ratio = np.divide(mx, x, out=np.full_like(mx, np.inf), where=x > 0.0)
+    slack = ENCLOSURE_SLACK_ULPS * len(diag) * np.finfo(np.float64).eps
+    lower, upper = ratio.min(axis=1) * (1 - slack), ratio.max(axis=1) * (1 + slack)
+    return value, x, residual, lower, upper
+
+
+def alpha_indices(
+    graphs: Sequence[Graph], alphas: Sequence[float], tol: float = DEFAULT_TOL
+) -> AlphaIndices:
+    """Certified alpha-index of every graph at every alpha.
+
+    One ``eigh`` call per (alpha, component order): the stack never holds
+    more than one alpha, which keeps the peak memory at one class's worth.
     """
-    validate_alpha(alpha)
-    comps = g.component_masks()
-    if len(comps) == 1:
-        return _solve_connected(g, alpha, tol, max_iters)
-    best: SpectralResult | None = None
-    best_mask = 0
-    for mask in comps:
-        sub = g.induced_subgraph(mask)
-        res = _solve_connected(sub, alpha, tol, max_iters)
-        if best is None or res.radius > best.radius:
-            best = res
-            best_mask = mask
-    assert best is not None
+    alphas = [validate_alpha(a) for a in alphas]
+    blocks = _blocks(graphs)
+    out = AlphaIndices(*(np.full((len(alphas), len(graphs)), -np.inf) for _ in range(4)))
+    for i, a in enumerate(alphas):
+        for block in blocks:
+            val, _, res, lo, hi = _perron(block, a, tol)
+            for arr, part in zip(out, (val, res, lo, hi)):
+                np.maximum.at(arr[i], block.owner, part)
+    return out
+
+
+def spectral_radius(g: Graph, alpha: float, *, tol: float = DEFAULT_TOL) -> SpectralResult:
+    """Largest eigenvalue of A_alpha(g) with a Perron vector and an enclosure.
+
+    For connected g and alpha < 1 the returned vector is strictly positive
+    with unit 2-norm (at alpha = 1 it is the normalized indicator of the
+    maximum-degree vertices).  For disconnected g the value is the maximum
+    over components and the vector is the winning component's Perron vector
+    embedded in R^n; the first component (by least vertex) wins ties.
+    """
+    a = validate_alpha(alpha)
+    comps = [c for b in _blocks([g]) for c in zip(b.masks, *_perron(b, a, tol))]
+    comps.sort(key=lambda c: c[0] & -c[0])  # by least vertex
+    mask, radius, x, residual, _, _ = max(comps, key=lambda c: c[1])
     vec = np.zeros(g.n)
-    vec[list(bits(best_mask))] = best.perron
-    return SpectralResult(best.radius, vec, best.residual, best.iterations)
+    vec[list(bits(mask))] = x
+    lower, upper = (float(max(c[k] for c in comps)) for k in (4, 5))
+    return SpectralResult(float(radius), vec, float(residual), lower, upper)
 
 
 # -- closed-form bounds ----------------------------------------------------
@@ -146,32 +225,33 @@ def bound_lower_delta(g: Graph, alpha: float) -> float:
 # -- column-sum certificate ------------------------------------------------
 
 
-def column_sum_certificate(g: Graph, alpha: float, n_param: int | None = None) -> list[float]:
+def column_sum_certificate(g: Graph, alpha, n_param: int | None = None):
     """Column sums of B = A_alpha^2 - alpha*n*A_alpha + 2(2a-1)(n-2)*I.
 
     Computed both from the matrix and from the closed form
     alpha*d(u)^2 + (1-alpha)*S(u) - alpha*n*d(u) + 2(2a-1)(n-2), where S(u)
-    is the neighbour degree sum.  The two routes must agree to CERT_TOL; any
-    disagreement raises, since it would mean the closed form is wrong.
+    is the neighbour degree sum.  The two routes must agree to CERT_TOL at
+    every alpha; any disagreement raises, since it would mean the closed
+    form is wrong.  A single alpha gives a list of n floats; a sequence of
+    alphas is evaluated as one numpy batch and gives one such list per alpha.
     """
-    a = validate_alpha(alpha)
+    if np.ndim(alpha) == 0:
+        return column_sum_certificate(g, [alpha], n_param)[0]
+    a = np.array([validate_alpha(x) for x in alpha], dtype=np.float64)[:, None]
     n = g.n if n_param is None else int(n_param)
-    mat = build_alpha_matrix(g, a)
-    b = mat @ mat - a * n * mat + 2.0 * (2.0 * a - 1.0) * (n - 2) * np.eye(g.n)
-    by_matrix = b.sum(axis=0)
+    deg = np.array(g.degrees(), dtype=np.int64)
+    nbr = np.array([neighbor_degree_sum(g, u) for u in range(g.n)], dtype=np.int64)
     const = 2.0 * (2.0 * a - 1.0) * (n - 2)
-    by_formula = np.array(
-        [
-            a * g.degree(u) ** 2
-            + (1.0 - a) * neighbor_degree_sum(g, u)
-            - a * n * g.degree(u)
-            + const
-            for u in range(g.n)
-        ]
-    )
-    gap = float(np.max(np.abs(by_matrix - by_formula)))
+    by_formula = a * deg**2 + (1.0 - a) * nbr - a * n * deg + const
+    mat = (1.0 - a[:, :, None]) * g.adjacency_matrix()
+    diag = np.arange(g.n)
+    mat[:, diag, diag] += a * deg
+    b = mat @ mat - (a * n)[:, :, None] * mat
+    b[:, diag, diag] += const
+    by_matrix = b.sum(axis=1)
+    gap = float(np.max(np.abs(by_matrix - by_formula), initial=0.0))
     if gap > CERT_TOL:
         raise AssertionError(
             f"column-sum closed form disagrees with the matrix by {gap:.3e}"
         )
-    return [float(x) for x in by_formula]
+    return by_formula.tolist()

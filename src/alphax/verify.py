@@ -5,6 +5,8 @@ member over an alpha grid, and compares the maximizer against the expected
 extremal graph and its closed-form value.  One SearchReport is produced per
 (class, n, alpha).  Values closer than TIE_TOL are treated as numerically
 tied rather than strictly ordered; ties are reported, not asserted away.
+A maximizer is certified unique when the lower end of its enclosure lies
+above the upper end of every other member's enclosure.
 
 Report serialization is deterministic: members are already in canonical
 order, floats are rounded to 9 significant digits, and keys have a fixed
@@ -17,20 +19,20 @@ from __future__ import annotations
 import csv
 import io
 import json
-import multiprocessing
-import os
 import time
 from dataclasses import dataclass, field
 
-from . import families
+from . import __version__, families
 from .canonical import canonical_form
 from .enumeration import ClassFilter, enumerate_class, ingest_class, scan_plan
 from .graph import Graph, all_cycles, has_chorded_cycle
 from .graph6 import write_graph6
-from .spectral import DEFAULT_MAX_ITERS, DEFAULT_TOL, spectral_radius
+# spectral_radius is unused here but stays a name of this module, where
+# bench/tracer.py looks it up.
+from .spectral import DEFAULT_TOL, alpha_indices, spectral_radius  # noqa: F401
 
 TOOL_NAME = "alphax"
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = __version__
 TIE_TOL = 1e-8
 VALUE_TOL = 1e-8
 
@@ -43,30 +45,6 @@ def _round9(x: float | None) -> float | None:
     if x is None:
         return None
     return float(f"{x:.9g}")
-
-
-def default_jobs() -> int:
-    env = os.environ.get("ALPHAX_JOBS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError(f"ALPHAX_JOBS must be an integer, got {env!r}")
-    return 1
-
-
-def _rho_one(args):
-    g, alpha, tol, max_iters = args
-    return spectral_radius(g, alpha, tol=tol, max_iters=max_iters).radius
-
-
-def _rho_values(graphs, alpha, tol, max_iters, jobs):
-    tasks = [(g, alpha, tol, max_iters) for g in graphs]
-    if jobs <= 1 or len(graphs) < 4:
-        return [_rho_one(t) for t in tasks]
-    chunk = max(1, len(tasks) // (4 * jobs))
-    with multiprocessing.Pool(jobs) as pool:
-        return pool.map(_rho_one, tasks, chunksize=chunk)
 
 
 @dataclass(frozen=True)
@@ -87,6 +65,7 @@ class SearchReport:
     ties_within_tolerance: int
     pruning: tuple[str, ...]
     source: str
+    certified_unique: bool
     runtime_ms: int
 
     @property
@@ -117,6 +96,7 @@ class SearchReport:
             "ties_within_tolerance": self.ties_within_tolerance,
             "pruning": list(self.pruning),
             "source": self.source,
+            "certified_unique": self.certified_unique,
             "runtime_ms": self.runtime_ms,
         }
 
@@ -125,7 +105,8 @@ CSV_COLUMNS = [
     "tool", "version", "class", "k", "n", "alpha", "alpha_grid", "class_size",
     "max_value", "argmax_canonical", "argmax_matches_expected",
     "expected_canonical", "expected_value", "runner_up_value", "spectral_gap",
-    "ties_within_tolerance", "pruning", "source", "runtime_ms",
+    "ties_within_tolerance", "pruning", "source", "certified_unique",
+    "runtime_ms",
 ]
 
 
@@ -148,11 +129,17 @@ def reports_to_csv(reports) -> str:
     return buf.getvalue()
 
 
+def certified_unique(lower, upper, winner: int) -> bool:
+    """The winner's lower bound exceeds every other member's upper bound."""
+    return all(lower[winner] > hi for i, hi in enumerate(upper) if i != winner)
+
+
 def exit_code(reports) -> int:
-    """0 verified, 2 verified with numerical ties, 1 violation."""
+    """0 verified, 2 verified with numerical ties or an uncertified maximizer,
+    1 violation."""
     if any(r.violation for r in reports):
         return 1
-    if any(r.ties_within_tolerance > 0 for r in reports):
+    if any(r.ties_within_tolerance > 0 or not r.certified_unique for r in reports):
         return 2
     return 0
 
@@ -175,11 +162,8 @@ def run_search(
     expected_value_fn=None,
     source_graphs=None,
     tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    jobs: int | None = None,
 ) -> list[SearchReport]:
     """Evaluate the class maximum for each alpha and report."""
-    jobs = default_jobs() if jobs is None else jobs
     start = time.perf_counter()
     members, source, pruning = _class_members(n, flt, source_graphs)
     if not members:
@@ -188,8 +172,9 @@ def run_search(
     expected_g6 = write_graph6(canonical_form(expected).graph()) if expected else None
     reports = []
     alphas = tuple(float(a) for a in alphas)
-    for alpha in alphas:
-        values = _rho_values(members, alpha, tol, max_iters, jobs)
+    solved = alpha_indices(members, alphas, tol)
+    for row, alpha in enumerate(alphas):
+        values = solved.value[row].tolist()
         max_idx = max(range(len(values)), key=lambda i: values[i])
         max_value = values[max_idx]
         others = [v for i, v in enumerate(values) if i != max_idx]
@@ -217,6 +202,9 @@ def run_search(
                 ties_within_tolerance=ties,
                 pruning=pruning,
                 source=source,
+                certified_unique=certified_unique(
+                    solved.lower[row], solved.upper[row], max_idx
+                ),
                 runtime_ms=runtime_ms,
             )
         )

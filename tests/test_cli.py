@@ -22,6 +22,8 @@ def test_rho_on_family_spec(capsys):
     assert "rho=4" in out
     assert "upper(degree)=4.5" in out
     assert "lower(delta)=3.5" in out
+    assert "residual=" in out and "enclosure=[" in out
+    assert "iterations" not in out
 
 
 def test_rho_on_graph6_literal(capsys):
@@ -146,6 +148,22 @@ def test_usage_errors_exit_64(capsys):
     assert run(capsys, "verify", "thm11-odd", "--n", "8", "--alphas", "0.5")[0] == 64
     assert run(capsys, "enumerate", "--n", "9", "--class", "min-2-edge-connected")[0] == 64
     assert run(capsys, "certify-colsums", "--alphas", "0.5")[0] == 64  # no target
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["verify", "thm11-odd", "--n", "7", "--jobs", "2"], "--jobs"),
+        (["rho", "W7", "--max-iters", "5"], "--max-iters"),
+    ],
+)
+def test_removed_flags_exit_64(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in err
+    assert "Traceback" not in err
 
 
 def test_unknown_subcommand_exits_64(capsys):

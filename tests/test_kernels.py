@@ -1,17 +1,12 @@
 import os
-import random
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from alphax import kernels
 from alphax.graph import Graph
-from alphax.spectral import build_alpha_matrix
 from alphax.enumeration import ClassFilter, scan_plan
-
-from helpers import eig_rho, random_graph
 
 BACKENDS = ["numpy"] + (["numba"] if kernels.HAS_NUMBA else [])
 
@@ -95,34 +90,3 @@ def test_env_flag_selects_numpy_backend():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "numpy"
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_power_iteration_matches_eigensolve(backend):
-    rng = random.Random(13)
-    for _ in range(30):
-        g = random_graph(rng, rng.randint(2, 9), rng.uniform(0.3, 0.9))
-        if not g.is_connected():
-            continue
-        a = rng.choice((0.0, 0.5, 0.75))
-        mat = build_alpha_matrix(g, a)
-        shift = float(g.max_degree())
-        radius, vec, residual, iters = kernels.power_iteration(
-            mat, shift, 1e-10, 100_000, backend=backend
-        )
-        assert residual <= 1e-10
-        assert 1 <= iters
-        assert abs(radius - eig_rho(g, a)) < 1e-8
-        assert abs(np.linalg.norm(vec) - 1) < 1e-9
-
-
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
-def test_power_backends_agree():
-    rng = random.Random(29)
-    for _ in range(20):
-        g = random_graph(rng, 8, 0.5)
-        mat = build_alpha_matrix(g, 0.6)
-        shift = float(g.max_degree())
-        ra, *_ = kernels.power_iteration(mat, shift, 1e-10, 100_000, backend="numba")
-        rb, *_ = kernels.power_iteration(mat, shift, 1e-10, 100_000, backend="numpy")
-        assert abs(ra - rb) < 1e-9

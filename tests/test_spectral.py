@@ -1,13 +1,19 @@
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from alphax.graph import Graph
+from alphax.cli import main
+from alphax.graph import Graph, neighbor_degree_sum, pair_list
+from alphax.graph6 import parse_graph6_lines
 from alphax.spectral import (
     CERT_TOL,
     ConvergenceError,
+    alpha_indices,
     bound_lower_delta,
     bound_upper_degree,
     bound_upper_edge,
@@ -27,6 +33,8 @@ from alphax.families import (
 )
 
 from helpers import ALPHA_GRID, connected_class_reps, eig_rho, random_graph
+
+DATA_FILE = Path(__file__).resolve().parent.parent / "data" / "min2ec_n8.g6"
 
 
 def test_build_alpha_matrix_entries():
@@ -104,11 +112,75 @@ def test_adding_edge_never_decreases_radius():
         assert spectral_radius(g.add_edge(u, v), a).radius >= spectral_radius(g, a).radius - 1e-10
 
 
-def test_convergence_error_carries_state():
+def test_unreachable_tol_raises(capsys):
+    # P_4's Perron vector is irrational, so no float pair has residual 0
     with pytest.raises(ConvergenceError) as err:
-        spectral_radius(make_path(4), 0.0, max_iters=2)
-    assert err.value.iterations == 2
-    assert err.value.residual > 0
+        spectral_radius(make_path(4), 0.0, tol=0.0)
+    assert err.value.residual > 0 and err.value.tol == 0.0
+    with pytest.raises(ConvergenceError):
+        alpha_indices([make_cycle(5), make_path(4)], [0.5, 0.0], tol=0.0)
+    assert main(["rho", "P4", "--alphas", "0", "--tol", "0"]) == 1
+    assert "residual" in capsys.readouterr().err
+
+
+# -- batched solve and enclosures ------------------------------------------
+
+PROPERTY_ALPHAS = (0.0, 0.25, 0.5, 0.9, 1.0)
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs on 1..12 vertices, sparse enough to be often disconnected."""
+    n = draw(st.integers(1, 12))
+    p = draw(st.sampled_from((0.0, 0.1, 0.2, 0.35, 0.5, 0.8)))
+    rng = draw(st.randoms(use_true_random=False))
+    return Graph.from_edge_list(n, [e for e in pair_list(n) if rng.random() < p])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_graphs(), st.sampled_from(PROPERTY_ALPHAS))
+@example(Graph.from_edge_list(1, []), 0.5)
+@example(Graph.from_edge_list(6, []), 0.0)
+@example(disjoint_union(make_cycle(3), make_path(4)), 1.0)
+@example(disjoint_union(make_path(5), make_complete(4)), 0.9)
+def test_enclosure_contains_eigvalsh(g, alpha):
+    ref = eig_rho(g, alpha)
+    res = spectral_radius(g, alpha)
+    assert res.lower <= ref <= res.upper
+    assert res.lower <= res.radius <= res.upper
+    assert abs(res.radius - ref) <= 1e-12
+    assert res.perron.min() >= 0
+    assert abs(np.linalg.norm(res.perron) - 1.0) < 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(small_graphs(), min_size=1, max_size=6))
+def test_batched_solve_matches_single_graph_view(graphs):
+    out = alpha_indices(graphs, PROPERTY_ALPHAS)
+    assert out.value.shape == (len(PROPERTY_ALPHAS), len(graphs))
+    for i, a in enumerate(PROPERTY_ALPHAS):
+        for j, g in enumerate(graphs):
+            res = spectral_radius(g, a)
+            got = (out.value[i, j], out.lower[i, j], out.upper[i, j])
+            assert np.allclose(got, (res.radius, res.lower, res.upper), rtol=0, atol=1e-12)
+            assert out.residual[i, j] >= res.residual
+
+
+def test_alpha_one_is_max_degree_with_exact_enclosure():
+    g = make_complete_bipartite(2, 5)
+    res = spectral_radius(g, 1.0)
+    assert res.radius == res.lower == res.upper == 5.0
+    assert res.residual == 0.0
+    # the degree-5 side carries the vector; the degree-2 side is zero
+    assert np.all(res.perron[:2] > 0) and np.all(res.perron[2:] == 0)
+
+
+def test_enclosures_are_tight_on_the_shipped_class():
+    members = parse_graph6_lines(DATA_FILE.read_text())
+    out = alpha_indices(members, [0.5, 0.75, 0.99])
+    width = out.upper - out.lower
+    assert np.all(width >= 0) and np.max(width / out.value) < 1e-6
+    assert np.all(out.lower <= out.value) and np.all(out.value <= out.upper)
 
 
 def test_known_radii():
@@ -209,6 +281,27 @@ def test_certificate_two_routes_agree():
         mat = build_alpha_matrix(g, a)
         b = mat @ mat - a * n * mat + 2 * (2 * a - 1) * (n - 2) * np.eye(n)
         assert np.max(np.abs(np.asarray(sums) - b.sum(axis=0))) <= CERT_TOL
+
+
+def test_certificate_grid_matches_scalar_loop_exactly():
+    # the numpy grid keeps the scalar formula's operation order, so the
+    # floats agree bit for bit
+    rng = random.Random(7)
+    grid = [0.0, 0.25, 0.5, 0.6, 0.75, 0.9, 1.0]
+    for _ in range(10):
+        g = random_graph(rng, rng.randint(2, 10), 0.5)
+        n = g.n + 1
+        rows = column_sum_certificate(g, grid, n_param=n)
+        assert column_sum_certificate(g, grid[2], n_param=n) == rows[2]
+        for a, row in zip(grid, rows):
+            const = 2.0 * (2.0 * a - 1.0) * (n - 2)
+            assert row == [
+                a * g.degree(u) ** 2
+                + (1.0 - a) * neighbor_degree_sum(g, u)
+                - a * n * g.degree(u)
+                + const
+                for u in range(g.n)
+            ]
 
 
 def test_certificate_n_param_override():

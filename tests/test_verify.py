@@ -2,13 +2,21 @@ import csv
 import io
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 from alphax import verify
 from alphax.enumeration import ClassFilter
 from alphax.families import make_friendship, rho_friendship
-from alphax.graph6 import write_graph6
+from alphax.graph6 import parse_graph6_lines, write_graph6
+
+ROOT = Path(__file__).resolve().parent.parent
+# verify thm11-even --n 8 --in data/min2ec_n8.g6 over this grid, written by
+# the power-iteration solver that preceded the batched eigh solve
+GOLDEN_REPORT = ROOT / "tests" / "data" / "thm11_even_n8.json"
+GOLDEN_ALPHAS = (0.5, 0.53, 0.56, 0.59, 0.62, 0.65, 0.68, 0.71,
+                 0.74, 0.77, 0.8, 0.83, 0.86, 0.89, 0.92, 0.95)
 
 
 def strip_runtime(report_dicts):
@@ -33,6 +41,7 @@ def make_report(**overrides):
         ties_within_tolerance=0,
         pruning=("minimum degree is exactly 2",),
         source="builtin",
+        certified_unique=True,
         runtime_ms=12,
     )
     base.update(overrides)
@@ -49,6 +58,25 @@ def test_exit_codes():
     off = make_report(expected_value=3.7)
     assert off.violation
     assert verify.exit_code([off]) == 1
+    uncertified = make_report(certified_unique=False)
+    assert verify.exit_code([ok, uncertified]) == 2
+    assert verify.exit_code([uncertified, wrong]) == 1
+
+
+@pytest.mark.parametrize(
+    "lower,upper,expected",
+    [
+        ([3.0, 1.0, 2.0], [3.1, 1.5, 2.9], True),   # separated
+        ([3.0, 1.0, 2.0], [3.1, 1.5, 3.0], False),  # touching: 3.0 is not > 3.0
+        ([3.0, 1.0, 2.0], [3.1, 1.5, 3.05], False),  # overlapping
+    ],
+)
+def test_certified_unique_rule(lower, upper, expected):
+    assert verify.certified_unique(lower, upper, 0) is expected
+
+
+def test_certified_unique_single_member():
+    assert verify.certified_unique([2.0], [2.0], 0) is True
 
 
 def test_report_serialization_shapes():
@@ -91,10 +119,17 @@ def test_run_search_deterministic_output():
     assert ja == jb
 
 
-def test_run_search_jobs_do_not_change_results():
-    a = verify.verify_thm11_odd(7, (0.9,), jobs=1)
-    b = verify.verify_thm11_odd(7, (0.9,), jobs=2)
-    assert strip_runtime([r.to_dict() for r in a]) == strip_runtime([r.to_dict() for r in b])
+def test_golden_report_reproduced_byte_for_byte():
+    members = parse_graph6_lines((ROOT / "data" / "min2ec_n8.g6").read_text())
+    reports = verify.verify_thm11_even(8, GOLDEN_ALPHAS, source_graphs=members)
+    assert all(r.certified_unique for r in reports)
+    rows = [
+        {k: v for k, v in r.to_dict().items() if k != "certified_unique"}
+        for r in reports
+    ]
+    zero = lambda text: re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', text)
+    got = zero(json.dumps(rows, indent=2) + "\n")
+    assert got == zero(GOLDEN_REPORT.read_text())
 
 
 def test_run_search_ingested_source():
