@@ -1,5 +1,11 @@
 """alphax: extremal alpha-index search over minimally connected graph classes."""
 
+import os
+
+# No matrix here exceeds 12x12, so BLAS worker threads only cost start-up CPU;
+# set before numpy is first imported, and a value the user set still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"  # the one version source: pyproject and reports read it
 
 from .canonical import CanonicalForm, CapabilityError, are_isomorphic, canonical_form
@@ -9,6 +15,7 @@ from .connectivity import (
     classify,
     cut_vertices,
     edge_connectivity,
+    has_chorded_cycle,
     is_k_connected,
     is_k_edge_connected,
     is_minimally_k_connected,
@@ -35,7 +42,6 @@ from .graph import (
     all_cycles,
     avg_neighbor_degree,
     format_edge_list,
-    has_chorded_cycle,
     neighbor_degree_sum,
     parse_edge_list,
 )

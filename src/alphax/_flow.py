@@ -1,104 +1,84 @@
 """Unit-capacity max-flow on tiny graphs, used for local connectivity queries.
 
-Works directly on adjacency bitmask rows (tuple of ints, one per vertex) so it
-can be shared by modules that should not depend on each other.  All networks
-built here are small (at most 2n+2 nodes), so a plain Edmonds-Karp with BFS
-augmenting paths is more than enough.  Every query takes an optional ``limit``
-and stops as soon as that many augmenting paths have been found, which is what
-threshold tests (is the connectivity at least k?) need.
+One augmenting-path core serves both path counts.  The network is a tuple of
+bitmask rows: bit y of row x is a unit-capacity arc x -> y.  The flow is kept
+as one flow-out and one flow-in mask per node, so the residual arcs leaving x
+are ``(arcs[x] & ~out[x]) | into[x]`` and pushing against an existing flow
+cancels it.  Every query takes an optional ``limit`` and stops as soon as
+that many augmenting paths have been found, which is what threshold tests
+(is the connectivity at least k?) need.
 """
-
-from collections import deque
 
 _BIG = 1 << 20
 
 
-class _FlowNet:
-    """Adjacency-list flow network with paired forward/backward arcs."""
-
-    __slots__ = ("heads", "arcs")
-
-    def __init__(self, num_nodes: int):
-        self.heads: list[list[int]] = [[] for _ in range(num_nodes)]
-        self.arcs: list[list[int]] = []  # each arc is [to, cap]
-
-    def add_arc(self, u: int, v: int, cap: int) -> None:
-        self.heads[u].append(len(self.arcs))
-        self.arcs.append([v, cap])
-        self.heads[v].append(len(self.arcs))
-        self.arcs.append([u, 0])
-
-    def max_flow(self, s: int, t: int, limit: int) -> int:
-        flow = 0
-        arcs = self.arcs
-        heads = self.heads
-        while flow < limit:
-            # BFS for a shortest augmenting path
-            prev_arc = [-1] * len(heads)
-            prev_arc[s] = -2
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                if u == t:
-                    break
-                for a in heads[u]:
-                    v, cap = arcs[a]
-                    if cap > 0 and prev_arc[v] == -1:
-                        prev_arc[v] = a
-                        queue.append(v)
-            if prev_arc[t] == -1:
-                break
-            # all arcs carry capacity >= 1 along the path; push one unit
-            v = t
-            while v != s:
-                a = prev_arc[v]
-                arcs[a][1] -= 1
-                arcs[a ^ 1][1] += 1
-                v = arcs[a ^ 1][0]
-            flow += 1
-        return flow
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _unit_flow(arcs, s: int, t: int, limit: int) -> int:
+    """Max s-t flow in the unit-capacity network ``arcs``, capped at ``limit``."""
+    size = len(arcs)
+    out = [0] * size
+    into = [0] * size
+    target = 1 << t
+    flow = 0
+    while flow < limit:
+        # breadth-first search for a shortest augmenting path
+        parent = [0] * size
+        seen = 1 << s
+        frontier = [s]
+        while frontier and not seen & target:
+            layer = []
+            for x in frontier:
+                fresh = ((arcs[x] & ~out[x]) | into[x]) & ~seen
+                seen |= fresh
+                while fresh:
+                    low = fresh & -fresh
+                    y = low.bit_length() - 1
+                    parent[y] = x
+                    layer.append(y)
+                    fresh ^= low
+            frontier = layer
+        if not seen & target:
+            break
+        y = t
+        while y != s:
+            x = parent[y]
+            if (into[x] >> y) & 1:  # cancel a unit flowing y -> x
+                into[x] ^= 1 << y
+                out[y] ^= 1 << x
+            else:
+                out[x] |= 1 << y
+                into[y] |= 1 << x
+            y = x
+        flow += 1
+    return flow
 
 
 def edge_disjoint_paths(adj: tuple[int, ...], s: int, t: int, limit: int = _BIG) -> int:
     """Number of pairwise edge-disjoint s-t paths, capped at ``limit``.
 
-    Each undirected edge becomes a pair of opposite unit-capacity arcs.
+    The adjacency rows are the network: each undirected edge is a pair of
+    opposite unit arcs.
     """
-    n = len(adj)
-    net = _FlowNet(n)
-    for u in range(n):
-        for v in _bits(adj[u]):
-            if v > u:
-                net.add_arc(u, v, 1)
-                net.add_arc(v, u, 1)
-    return net.max_flow(s, t, limit)
+    return _unit_flow(adj, s, t, limit)
 
 
 def vertex_disjoint_paths(adj: tuple[int, ...], s: int, t: int, limit: int = _BIG) -> int:
     """Number of internally vertex-disjoint s-t paths, capped at ``limit``.
 
-    Standard vertex splitting: v becomes v_in -> v_out with capacity 1
-    (unbounded for s and t), and edge uv becomes arcs u_out -> v_in and
-    v_out -> u_in.  Requires s and t non-adjacent, otherwise the count the
+    Standard vertex splitting: v becomes v_in = 2v -> v_out = 2v+1, and edge
+    uv becomes arcs u_out -> v_in and v_out -> u_in; the flow runs from s_out
+    to t_in.  Unit edge arcs are exact, because every internal vertex passes
+    at most one unit.  Requires s and t non-adjacent, otherwise the count the
     caller wants is not bounded by a vertex cut.
     """
     if (adj[s] >> t) & 1:
         raise ValueError("vertex_disjoint_paths requires non-adjacent endpoints")
-    n = len(adj)
-    net = _FlowNet(2 * n)
-    for v in range(n):
-        cap = _BIG if v in (s, t) else 1
-        net.add_arc(2 * v, 2 * v + 1, cap)  # v_in -> v_out
-    for u in range(n):
-        for v in _bits(adj[u]):
-            if v > u:
-                net.add_arc(2 * u + 1, 2 * v, _BIG)
-                net.add_arc(2 * v + 1, 2 * u, _BIG)
-    return net.max_flow(2 * s + 1, 2 * t, limit)
+    split = []
+    for v, row in enumerate(adj):
+        heads = 0
+        while row:
+            low = row & -row
+            heads |= 1 << (2 * low.bit_length() - 2)  # the in-node of that neighbour
+            row ^= low
+        split.append(1 << (2 * v + 1))
+        split.append(heads)
+    return _unit_flow(split, 2 * s + 1, 2 * t, limit)

@@ -2,7 +2,8 @@
 
 Subcommands: rho, bounds, classify, enumerate, verify (thm11-odd, thm11-even,
 thm12, lemmas), certify-colsums.  Exit codes: 0 verified, 2 verified but with
-numerical ties, 1 violation found, 64 usage error.
+numerical ties, 1 violation found, 64 usage or input error (including files
+that cannot be read or written).
 
 Graph arguments accept, in order of precedence: a path to an existing file
 (.g6/.graph6 for graph6, .edges/.txt for the edge-list format), a family spec
@@ -16,7 +17,6 @@ import os
 import sys
 
 from . import connectivity, families, verify
-from .canonical import CapabilityError
 from .enumeration import ClassFilter, enumerate_class, ingest_class
 from .graph import Graph, parse_edge_list
 from .graph6 import Graph6Error, parse_graph6, parse_graph6_lines, write_graph6
@@ -282,10 +282,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, Graph6Error, CapabilityError) as exc:
-        print(f"alphax: error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # usage, graph6 and capability errors are ValueErrors; OSError covers
+        # unreadable inputs and unwritable outputs
         print(f"alphax: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except ConvergenceError as exc:

@@ -9,8 +9,11 @@ of its non-neighbours) or contains v, in which case v has neighbours in two
 different components of the cut and those two are a non-adjacent pair in N(v).
 
 A graph is minimally k-(edge-)connected when it is k-(edge-)connected and
-deleting any single edge destroys that property.  Those predicates are the
-direct definition, one edge deletion at a time.
+deleting any single edge destroys that property.  By Menger's theorem an edge
+uv of a k-(edge-)connected graph can be deleted without losing the property
+exactly when G - uv still has k edge-disjoint (internally vertex-disjoint)
+u-v paths, so each edge costs one flow capped at k instead of a full re-check.
+The same local test finds bridges (k=1) and chords of cycles (k=2).
 """
 
 from __future__ import annotations
@@ -98,15 +101,36 @@ def is_k_connected(g: Graph, k: int) -> bool:
     )
 
 
+def _paths_survive_deletion(adj, u: int, v: int, k: int, vertex: bool) -> bool:
+    """G - uv still has k edge-disjoint (vertex: internally disjoint) u-v paths."""
+    if adj[u].bit_count() <= k or adj[v].bit_count() <= k:
+        return False  # an endpoint keeps fewer than k edges
+    rows = list(adj)
+    rows[u] ^= 1 << v
+    rows[v] ^= 1 << u
+    paths = _flow.vertex_disjoint_paths if vertex else _flow.edge_disjoint_paths
+    return paths(rows, u, v, limit=k) >= k
+
+
 def bridges(g: Graph) -> list[tuple[int, int]]:
     """Edges whose deletion disconnects their endpoints."""
-    out = []
     adj = g.adjacency_rows()
-    for u, v in g.edges():
-        reduced = g.delete_edge(u, v).adjacency_rows()
-        if _flow.edge_disjoint_paths(reduced, u, v, limit=1) == 0:
-            out.append((u, v))
-    return out
+    return [
+        (u, v) for u, v in g.edges()
+        if not _paths_survive_deletion(adj, u, v, 1, vertex=False)
+    ]
+
+
+def has_chorded_cycle(g: Graph) -> bool:
+    """True iff some cycle of g has a chord.
+
+    An edge xy is a chord of some cycle exactly when g minus xy still has two
+    internally vertex-disjoint x-y paths.
+    """
+    adj = g.adjacency_rows()
+    return any(
+        _paths_survive_deletion(adj, x, y, 2, vertex=True) for x, y in g.edges()
+    )
 
 
 def cut_vertices(g: Graph) -> list[int]:
@@ -130,8 +154,9 @@ def is_minimally_k_edge_connected(g: Graph, k: int) -> bool:
         raise ValueError("k must be at least 1")
     if not is_k_edge_connected(g, k):
         return False
-    return all(
-        not is_k_edge_connected(g.delete_edge(u, v), k) for u, v in g.edges()
+    adj = g.adjacency_rows()
+    return not any(
+        _paths_survive_deletion(adj, u, v, k, vertex=False) for u, v in g.edges()
     )
 
 
@@ -141,7 +166,10 @@ def is_minimally_k_connected(g: Graph, k: int) -> bool:
         raise ValueError("k must be at least 1")
     if not is_k_connected(g, k):
         return False
-    return all(not is_k_connected(g.delete_edge(u, v), k) for u, v in g.edges())
+    adj = g.adjacency_rows()
+    return not any(
+        _paths_survive_deletion(adj, u, v, k, vertex=True) for u, v in g.edges()
+    )
 
 
 @dataclass(frozen=True)

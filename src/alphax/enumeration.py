@@ -10,9 +10,9 @@ lot).  Survivors then pass the exact class predicate, are canonically
 labelled, deduplicated, and returned sorted by canonical form.
 
 Built-in generation covers n <= 8.  Larger orders are ingested from graph6
-files and pushed through the same predicate/dedup pipeline, which also serves
-as an independent cross-check of the scan (the ingest path uses the
-pure-Python connectivity module rather than the scan kernels).
+files and pushed through the same predicate/dedup pipeline.  The scan and the
+ingest path run the same class predicate, so neither checks the other; the
+predicate is checked against brute-force and networkx oracles in the tests.
 """
 
 from __future__ import annotations
@@ -76,13 +76,6 @@ class ClassFilter:
             return connectivity.is_minimally_k_edge_connected(g, self.k)
         return connectivity.is_minimally_k_connected(g, self.k)
 
-    def kind_code(self) -> int:
-        return {
-            ALL_CONNECTED: kernels.KIND_CONNECTED,
-            "min-edge": kernels.KIND_MIN_EDGE,
-            "min-vertex": kernels.KIND_MIN_VERTEX,
-        }[self.kind]
-
 
 def scan_plan(n: int, flt: ClassFilter) -> tuple[int, int, int, list[str]]:
     """(m_lo, m_hi, dmin) for the labeled scan plus the justifying facts."""
@@ -107,9 +100,7 @@ def scan_plan(n: int, flt: ClassFilter) -> tuple[int, int, int, list[str]]:
     return math.ceil(k * n / 2), m_hi, k, notes
 
 
-def enumerate_class(
-    n: int, flt: ClassFilter, *, backend: str | None = None
-) -> list[Graph]:
+def enumerate_class(n: int, flt: ClassFilter) -> list[Graph]:
     """All members of the class on n vertices, one canonical graph each.
 
     Output is sorted by canonical form.  Raises CapabilityError beyond the
@@ -123,9 +114,7 @@ def enumerate_class(
             "ingest a pre-generated graph6 file for larger orders"
         )
     m_lo, m_hi, dmin, _ = scan_plan(n, flt)
-    masks = kernels.scan_masks(
-        n, flt.kind_code(), flt.k, m_lo, m_hi, dmin, require_sorted=True, backend=backend
-    )
+    masks = kernels.scan_masks(n, m_lo, m_hi, dmin, flt.passes, require_sorted=True)
     forms = {canonical_form(Graph.from_edge_mask(n, mask)) for mask in masks}
     return [f.graph() for f in sorted(forms)]
 

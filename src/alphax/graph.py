@@ -15,8 +15,6 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import _flow
-
 MAX_VERTICES = 64
 
 
@@ -311,20 +309,6 @@ def chords_of_cycle(g: Graph, cycle: tuple[int, ...]) -> list[tuple[int, int]]:
             if g.has_edge(a, b) and (a, b) not in on_cycle:
                 found.append((min(a, b), max(a, b)))
     return found
-
-
-def has_chorded_cycle(g: Graph) -> bool:
-    """True iff some cycle of g has a chord.
-
-    An edge xy is a chord of some cycle exactly when g minus xy still has two
-    internally vertex-disjoint x-y paths, so each edge is tested with a
-    two-unit max-flow on the vertex-split network.
-    """
-    for x, y in g.edges():
-        reduced = g.delete_edge(x, y)
-        if _flow.vertex_disjoint_paths(reduced.adjacency_rows(), x, y, limit=2) >= 2:
-            return True
-    return False
 
 
 # -- edge-list text format -------------------------------------------------

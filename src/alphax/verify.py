@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 
 from . import __version__, families
 from .canonical import canonical_form
+from .connectivity import has_chorded_cycle
 from .enumeration import ClassFilter, enumerate_class, ingest_class, scan_plan
-from .graph import Graph, all_cycles, has_chorded_cycle
+from .graph import Graph, all_cycles
 from .graph6 import write_graph6
 # spectral_radius is unused here but stays a name of this module, where
 # bench/tracer.py looks it up.

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,8 @@ from alphax.cli import main
 from alphax.graph6 import parse_graph6_lines, write_graph6
 from alphax.families import make_cycle, make_wheel
 from alphax.graph import format_edge_list
+
+CLASS_FILE_N8 = Path(__file__).resolve().parent.parent / "data" / "min2ec_n8.g6"
 
 
 def run(capsys, *argv):
@@ -151,6 +155,35 @@ def test_usage_errors_exit_64(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "thm11-even", "--n", "8", "--in", "{tmp}/missing.g6"],  # not found
+        ["rho", "{tmp}"],  # a directory as a graph file
+        ["enumerate", "--n", "5", "--class", "min-2-edge-connected", "--in", "{tmp}"],
+        ["verify", "thm11-even", "--n", "8", "--in", "{data}", "--alphas", "0.5",
+         "--out", "{tmp}/no/such/dir/x.json"],  # unwritable report path
+        ["enumerate", "--n", "4", "--class", "min-2-edge-connected",
+         "--out", "{tmp}/no/such/dir/x.g6"],
+    ],
+)
+def test_os_errors_exit_64(tmp_path, capsys, argv):
+    code, _, err = run(capsys, *(a.format(tmp=tmp_path, data=CLASS_FILE_N8) for a in argv))
+    assert code == 64
+    assert err.startswith("alphax: error: [Errno")
+    assert "Traceback" not in err
+
+
+def test_os_error_in_a_fresh_process_has_no_traceback(tmp_path):
+    out = subprocess.run(
+        [sys.executable, "-m", "alphax.cli", "rho", str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 64
+    assert "Traceback" not in out.stderr
+    assert "alphax: error:" in out.stderr
+
+
+@pytest.mark.parametrize(
     "argv,flag",
     [
         (["verify", "thm11-odd", "--n", "7", "--jobs", "2"], "--jobs"),
@@ -179,3 +212,16 @@ def test_installed_entry_point_runs():
     )
     assert out.returncode == 0
     assert "rho=4" in out.stdout
+
+
+@pytest.mark.parametrize("preset,want", [(None, "1"), ("2", "2")])
+def test_import_pins_blas_threads_unless_set(preset, want):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import os, alphax; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == want

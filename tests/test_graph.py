@@ -1,12 +1,12 @@
 import pytest
 
+from alphax.connectivity import has_chorded_cycle
 from alphax.graph import (
     Graph,
     all_cycles,
     avg_neighbor_degree,
     chords_of_cycle,
     format_edge_list,
-    has_chorded_cycle,
     neighbor_degree_sum,
     pair_index,
     parse_edge_list,
