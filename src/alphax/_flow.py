@@ -61,17 +61,8 @@ def edge_disjoint_paths(adj: tuple[int, ...], s: int, t: int, limit: int = _BIG)
     return _unit_flow(adj, s, t, limit)
 
 
-def vertex_disjoint_paths(adj: tuple[int, ...], s: int, t: int, limit: int = _BIG) -> int:
-    """Number of internally vertex-disjoint s-t paths, capped at ``limit``.
-
-    Standard vertex splitting: v becomes v_in = 2v -> v_out = 2v+1, and edge
-    uv becomes arcs u_out -> v_in and v_out -> u_in; the flow runs from s_out
-    to t_in.  Unit edge arcs are exact, because every internal vertex passes
-    at most one unit.  Requires s and t non-adjacent, otherwise the count the
-    caller wants is not bounded by a vertex cut.
-    """
-    if (adj[s] >> t) & 1:
-        raise ValueError("vertex_disjoint_paths requires non-adjacent endpoints")
+def vertex_split(adj: tuple[int, ...]) -> list[int]:
+    """The split network of ``adj`` (see vertex_disjoint_paths)."""
     split = []
     for v, row in enumerate(adj):
         heads = 0
@@ -81,4 +72,23 @@ def vertex_disjoint_paths(adj: tuple[int, ...], s: int, t: int, limit: int = _BI
             row ^= low
         split.append(1 << (2 * v + 1))
         split.append(heads)
+    return split
+
+
+def vertex_disjoint_paths(
+    adj: tuple[int, ...], s: int, t: int, limit: int = _BIG, split: list[int] | None = None
+) -> int:
+    """Number of internally vertex-disjoint s-t paths, capped at ``limit``.
+
+    Standard vertex splitting: v becomes v_in = 2v -> v_out = 2v+1, and edge
+    uv becomes arcs u_out -> v_in and v_out -> u_in; the flow runs from s_out
+    to t_in.  Unit edge arcs are exact, because every internal vertex passes
+    at most one unit.  Requires s and t non-adjacent, otherwise the count the
+    caller wants is not bounded by a vertex cut.  Callers that probe several
+    pairs of one graph pass ``split = vertex_split(adj)``, built once.
+    """
+    if (adj[s] >> t) & 1:
+        raise ValueError("vertex_disjoint_paths requires non-adjacent endpoints")
+    if split is None:
+        split = vertex_split(adj)
     return _unit_flow(split, 2 * s + 1, 2 * t, limit)

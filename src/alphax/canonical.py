@@ -9,10 +9,31 @@ re-refined.  Because colours are computed from isomorphism-invariant data,
 isomorphic graphs induce identical search trees and therefore identical
 minimal bitstrings.
 
-Two prunings keep the search small without touching correctness: branches are
-cut as soon as their bit prefix exceeds the best known one, and at any node
-only one candidate per twin class is tried (swapping two twins is an
-automorphism that fixes every other vertex, so their subtrees are equal).
+Refinement ranks each vertex v by its colour, then by the sorted tuple of
+its neighbours' colours.  That pair is encoded as one integer,
+``colors[v] * B**R - sum(B**(R-1-colors[u]) for u in N(v))`` with B = n+1 and
+R = 2n above every colour id: the sum is a base-B word whose digits count
+v's neighbours per colour.  Colours only ever refine the degree partition,
+so vertices of equal colour have equal degree, and for sorted tuples of
+equal length lexicographic order is the reverse of the order of their count
+words.  The integer ranking is therefore exactly the tuple ranking.
+
+Three prunings keep the search small without changing the minimum it finds:
+
+* a branch is cut as soon as its bit prefix exceeds the best known one;
+* at any node only one candidate per twin class is tried (swapping two twins
+  is an automorphism that fixes every other vertex, so their subtrees are
+  equal);
+* orbit pruning, after McKay and Piperno, "Practical graph isomorphism, II"
+  (J. Symb. Comput. 60, 2014): a leaf whose code equals the best one yields
+  the automorphism best_order[i] -> order[i].  The search then resumes where
+  the two orderings diverge, since the subtree it is in is the image of one
+  already searched, and at every node a candidate is skipped when an
+  automorphism fixing the node's prefix pointwise maps an already tried
+  candidate to it.
+
+Once the colouring is discrete, the rest of the ordering is forced and is
+completed without further refinement.
 
 Intended for n <= 12; larger inputs are refused up front.
 """
@@ -21,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, bits, pair_count, pair_list
+from .graph import Graph, bits, pair_count
 from .graph6 import write_graph6
 
 MAX_CANONICAL_VERTICES = 12
@@ -55,20 +76,6 @@ class CanonicalForm:
         return write_graph6(self.graph())
 
 
-def _refine(n: int, adj: tuple[int, ...], colors: list[int]) -> list[int]:
-    """Iterate colour refinement to a fixpoint; colour ids are rank-normalized."""
-    while True:
-        sigs = []
-        for v in range(n):
-            nbr = tuple(sorted(colors[u] for u in bits(adj[v])))
-            sigs.append((colors[v], nbr))
-        ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [ranking[s] for s in sigs]
-        if new == colors:
-            return new
-        colors = new
-
-
 def _twin_reps(n: int, adj: tuple[int, ...]) -> list[int]:
     """rep[v] = least vertex whose swap with v is an automorphism (possibly v)."""
     rep = list(range(n))
@@ -83,6 +90,24 @@ def _twin_reps(n: int, adj: tuple[int, ...]) -> list[int]:
     return rep
 
 
+def _orbit_roots(n: int, gens: list[list[int]]) -> list[int]:
+    """root[v] = least vertex in v's orbit under the group ``gens`` generate."""
+    root = list(range(n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for gamma in gens:
+        for x, y in enumerate(gamma):
+            a, b = find(x), find(y)
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    return [find(x) for x in range(n)]
+
+
 def canonical_form(g: Graph) -> CanonicalForm:
     n = g.n
     if n > MAX_CANONICAL_VERTICES:
@@ -92,47 +117,99 @@ def canonical_form(g: Graph) -> CanonicalForm:
     if n == 1:
         return CanonicalForm(1, 0)
     adj = g.adjacency_rows()
+    nbrs = [list(bits(row)) for row in adj]
     rep = _twin_reps(n, adj)
+    # colour ids stay below 2n (individualization doubles them), and a
+    # neighbour count is a base-(n+1) digit
+    base = n + 1
+    weight = [base ** (2 * n - 1 - c) for c in range(2 * n)]
+    top = base ** (2 * n)
+
+    def refine(colors: list[int]) -> list[int]:
+        """Iterate colour refinement to a fixpoint; colour ids are rank-normalized."""
+        cells = len(set(colors))
+        while True:
+            keys = [
+                c * top - sum([weight[colors[u]] for u in nv])
+                for c, nv in zip(colors, nbrs)
+            ]
+            ranking = {key: i for i, key in enumerate(sorted(set(keys)))}
+            colors = [ranking[key] for key in keys]
+            if len(ranking) == cells:  # cells only split, so none split: fixpoint
+                return colors
+            cells = len(ranking)
 
     degs = g.degrees()
     degree_rank = {d: i for i, d in enumerate(sorted(set(degs)))}
-    colors0 = _refine(n, adj, [degree_rank[d] for d in degs])
 
-    best: list[int] | None = None
+    best: list[int] = []
+    best_order: list[int] = []
+    autos: list[list[int]] = []
 
-    def dfs(colors: list[int], order: list[int], codes: list[int]) -> None:
-        nonlocal best
+    def dfs(colors: list[int], order: list[int], codes: list[int]) -> int:
+        """Search below the node ``order``; return the depth to resume at."""
+        nonlocal best, best_order
         pos = len(order)
-        if pos == n:
-            if best is None or codes < best:
-                best = codes.copy()
-            return
         unplaced = [v for v in range(n) if v not in order]
+        if len(set(colors)) == n:
+            # discrete colouring: the rest of the ordering is forced
+            order = order + sorted(unplaced, key=colors.__getitem__)
+            codes = codes.copy()
+            for i in range(pos, n):
+                code = 0
+                for w in order[:i]:
+                    code = (code << 1) | ((adj[order[i]] >> w) & 1)
+                if best and codes == best[:i] and code > best[i]:
+                    return pos - 1
+                codes.append(code)
+            if codes != best:
+                best, best_order = codes, order
+                return pos - 1
+            # best_order[i] -> order[i] preserves adjacency; it maps the
+            # subtree where the two orderings diverge, already searched,
+            # onto the one this leaf is in
+            gamma = [0] * n
+            for b, o in zip(best_order, order):
+                gamma[b] = o
+            autos.append(gamma)
+            return next(i for i in range(n) if best_order[i] != order[i])
         low = min(colors[v] for v in unplaced)
-        tried: set[int] = set()
+        twin_tried: set[int] = set()
         branches = []
         for v in unplaced:
-            if colors[v] != low or rep[v] in tried:
+            if colors[v] != low or rep[v] in twin_tried:
                 continue
-            tried.add(rep[v])
+            twin_tried.add(rep[v])
             code = 0
             for w in order:
                 code = (code << 1) | ((adj[v] >> w) & 1)
             branches.append((code, v))
         branches.sort()
+        tried: list[int] = []
+        known = 0  # automorphisms already folded into root
+        root = list(range(n))
         for code, v in branches:
-            if best is not None and codes == best[:pos] and code > best[pos]:
+            if best and codes == best[:pos] and code > best[pos]:
                 break  # branches are sorted, everything after is worse
-            new_colors = [2 * c for c in colors]
+            if len(autos) > known:
+                known = len(autos)
+                gens = [gm for gm in autos if all(gm[x] == x for x in order)]
+                root = _orbit_roots(n, gens)
+            if any(root[v] == root[w] for w in tried):
+                continue  # an automorphism fixing the prefix maps a tried branch here
+            tried.append(v)
+            new_colors = [2 * c + 1 for c in colors]
             new_colors[v] -= 1
             order.append(v)
             codes.append(code)
-            dfs(_refine(n, adj, new_colors), order, codes)
+            resume = dfs(refine(new_colors), order, codes)
             order.pop()
             codes.pop()
+            if resume < pos:
+                return resume
+        return pos - 1
 
-    dfs(colors0, [], [])
-    assert best is not None
+    dfs(refine([degree_rank[d] for d in degs]), [], [])
     packed = 0
     for pos, code in enumerate(best):
         packed = (packed << pos) | code

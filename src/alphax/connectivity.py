@@ -79,9 +79,10 @@ def vertex_connectivity(g: Graph) -> int:
     if g.m == g.n * (g.n - 1) // 2:
         return g.n - 1
     adj = g.adjacency_rows()
+    split = _flow.vertex_split(adj)
     best = _BIG
     for s, t in _vertex_pair_schedule(g):
-        best = min(best, _flow.vertex_disjoint_paths(adj, s, t, limit=best))
+        best = min(best, _flow.vertex_disjoint_paths(adj, s, t, limit=best, split=split))
     return best
 
 
@@ -95,29 +96,35 @@ def is_k_connected(g: Graph, k: int) -> bool:
     if g.min_degree() < k or not g.is_connected():
         return False
     adj = g.adjacency_rows()
+    split = _flow.vertex_split(adj)
     return all(
-        _flow.vertex_disjoint_paths(adj, s, t, limit=k) >= k
+        _flow.vertex_disjoint_paths(adj, s, t, limit=k, split=split) >= k
         for s, t in _vertex_pair_schedule(g)
     )
 
 
-def _paths_survive_deletion(adj, u: int, v: int, k: int, vertex: bool) -> bool:
-    """G - uv still has k edge-disjoint (vertex: internally disjoint) u-v paths."""
+def _paths_survive_deletion(adj, u: int, v: int, k: int, split: list[int] | None) -> bool:
+    """G - uv still has k edge-disjoint u-v paths, or with ``split`` (G's
+    vertex split network) k internally vertex-disjoint ones."""
     if adj[u].bit_count() <= k or adj[v].bit_count() <= k:
         return False  # an endpoint keeps fewer than k edges
     rows = list(adj)
     rows[u] ^= 1 << v
     rows[v] ^= 1 << u
-    paths = _flow.vertex_disjoint_paths if vertex else _flow.edge_disjoint_paths
-    return paths(rows, u, v, limit=k) >= k
+    if split is None:
+        return _flow.edge_disjoint_paths(rows, u, v, limit=k) >= k
+    # G - uv's split network lacks exactly the arcs u_out -> v_in and v_out -> u_in
+    split = split.copy()
+    split[2 * u + 1] ^= 1 << (2 * v)
+    split[2 * v + 1] ^= 1 << (2 * u)
+    return _flow.vertex_disjoint_paths(rows, u, v, limit=k, split=split) >= k
 
 
 def bridges(g: Graph) -> list[tuple[int, int]]:
     """Edges whose deletion disconnects their endpoints."""
     adj = g.adjacency_rows()
     return [
-        (u, v) for u, v in g.edges()
-        if not _paths_survive_deletion(adj, u, v, 1, vertex=False)
+        (u, v) for u, v in g.edges() if not _paths_survive_deletion(adj, u, v, 1, None)
     ]
 
 
@@ -128,9 +135,8 @@ def has_chorded_cycle(g: Graph) -> bool:
     internally vertex-disjoint x-y paths.
     """
     adj = g.adjacency_rows()
-    return any(
-        _paths_survive_deletion(adj, x, y, 2, vertex=True) for x, y in g.edges()
-    )
+    split = _flow.vertex_split(adj)
+    return any(_paths_survive_deletion(adj, x, y, 2, split) for x, y in g.edges())
 
 
 def cut_vertices(g: Graph) -> list[int]:
@@ -155,9 +161,7 @@ def is_minimally_k_edge_connected(g: Graph, k: int) -> bool:
     if not is_k_edge_connected(g, k):
         return False
     adj = g.adjacency_rows()
-    return not any(
-        _paths_survive_deletion(adj, u, v, k, vertex=False) for u, v in g.edges()
-    )
+    return not any(_paths_survive_deletion(adj, u, v, k, None) for u, v in g.edges())
 
 
 def is_minimally_k_connected(g: Graph, k: int) -> bool:
@@ -167,9 +171,8 @@ def is_minimally_k_connected(g: Graph, k: int) -> bool:
     if not is_k_connected(g, k):
         return False
     adj = g.adjacency_rows()
-    return not any(
-        _paths_survive_deletion(adj, u, v, k, vertex=True) for u, v in g.edges()
-    )
+    split = _flow.vertex_split(adj)
+    return not any(_paths_survive_deletion(adj, u, v, k, split) for u, v in g.edges())
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,11 @@ Built-in generation scans labeled edge subsets with two layers of filtering.
 Cheap necessary conditions prune the scan: the minimum degree of a minimally
 k-(edge-)connected graph equals k, a minimally 2-edge-connected graph has at
 most 2n-2 edges, and a connected graph has at least n-1 edges.  Only labeled
-graphs whose degree sequence is non-increasing are kept (every isomorphism
-class has such a labelling, so nothing is lost and the later dedup shrinks a
-lot).  Survivors then pass the exact class predicate, are canonically
-labelled, deduplicated, and returned sorted by canonical form.
+graphs whose vertices are in non-increasing order of (degree, sum of
+neighbour degrees) are kept (the key is isomorphism-invariant, so every class
+has such a labelling, nothing is lost and the later dedup shrinks a lot).
+Survivors then pass the exact class predicate, are canonically labelled,
+deduplicated, and returned sorted by canonical form.
 
 Built-in generation covers n <= 8.  Larger orders are ingested from graph6
 files and pushed through the same predicate/dedup pipeline.  The scan and the
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import connectivity, kernels
 from .canonical import CanonicalForm, CapabilityError, canonical_form
@@ -104,7 +106,8 @@ def enumerate_class(n: int, flt: ClassFilter) -> list[Graph]:
     """All members of the class on n vertices, one canonical graph each.
 
     Output is sorted by canonical form.  Raises CapabilityError beyond the
-    built-in range; use ingest_class with a graph6 file instead.
+    built-in range; use ingest_class with a graph6 file instead.  Each class
+    is generated once per process; every call returns a fresh list.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -113,10 +116,15 @@ def enumerate_class(n: int, flt: ClassFilter) -> list[Graph]:
             f"built-in generation supports n <= {MAX_BUILTIN_N}; "
             "ingest a pre-generated graph6 file for larger orders"
         )
+    return list(_scan_class(n, flt))
+
+
+@lru_cache(maxsize=16)
+def _scan_class(n: int, flt: ClassFilter) -> tuple[Graph, ...]:
     m_lo, m_hi, dmin, _ = scan_plan(n, flt)
     masks = kernels.scan_masks(n, m_lo, m_hi, dmin, flt.passes, require_sorted=True)
     forms = {canonical_form(Graph.from_edge_mask(n, mask)) for mask in masks}
-    return [f.graph() for f in sorted(forms)]
+    return tuple(f.graph() for f in sorted(forms))
 
 
 def dedup_by_isomorphism(graphs) -> list[Graph]:

@@ -1,15 +1,18 @@
 """Hot numeric kernel: labeled edge-subset scanning.
 
 Iterate every labeled graph on n vertices whose edge count lies in
-[m_lo, m_hi], keep those with minimum degree at least dmin (optionally with a
-non-increasing degree sequence, the symmetry reduction used before
-isomorphism dedup), and hand each survivor of that cheap filter to the exact
-class predicate the caller passes.  The filter is vectorized numpy over
-chunks of edge masks.  enumerate_class passes ClassFilter.passes, the test
-ingested graphs go through too, so the scan and the ingest path share one
-predicate, and its correctness rests on the brute-force and networkx oracles
-of the test suite.  Edge bit positions follow the column pair order of
-graph.pair_list.
+[m_lo, m_hi], keep those with minimum degree at least dmin, and hand each
+survivor of that cheap filter to the exact class predicate the caller passes.
+With ``require_sorted`` (the symmetry reduction used before isomorphism
+dedup) a labelling must also list its vertices in lexicographically
+non-increasing order of (degree, sum of neighbour degrees).  That key is
+isomorphism-invariant, so every class keeps at least one labelling.  The
+filter is vectorized numpy over chunks of edge masks; the neighbour-degree
+sums are computed only on the rows whose degrees already passed.
+enumerate_class passes ClassFilter.passes, the test ingested graphs go
+through too, so the scan and the ingest path share one predicate, and its
+correctness rests on the brute-force and networkx oracles of the test suite.
+Edge bit positions follow the column pair order of graph.pair_list.
 """
 
 from __future__ import annotations
@@ -21,6 +24,21 @@ import numpy as np
 from .graph import Graph, pair_count, pair_list
 
 _SCAN_CHUNK = 1 << 20
+
+
+def _key_sorted(n: int, arr: np.ndarray, vertex_masks: np.ndarray) -> np.ndarray:
+    """Rows whose (degree, neighbour-degree sum) is non-increasing along the labels.
+
+    The sum is below n*n, so ``degree * n*n + sum`` orders both at once.
+    """
+    degs = np.stack([np.bitwise_count(arr & vm) for vm in vertex_masks], axis=1)
+    degs = degs.astype(np.int64)
+    key = degs * (n * n)
+    for idx, (i, j) in enumerate(pair_list(n)):
+        edge = (arr >> idx) & 1
+        key[:, i] += edge * degs[:, j]
+        key[:, j] += edge * degs[:, i]
+    return np.all(key[:, :-1] >= key[:, 1:], axis=1)
 
 
 def scan_masks(
@@ -42,15 +60,19 @@ def scan_masks(
         arr = np.arange(start, min(start + _SCAN_CHUNK, total), dtype=np.int64)
         pc = np.bitwise_count(arr)
         arr = arr[(pc >= m_lo) & (pc <= m_hi)]
-        if arr.size == 0:
-            continue
         # degree of vertex v in mask x is the popcount of x restricted to
-        # the pairs containing v
-        degs = np.stack([np.bitwise_count(arr & vm) for vm in vertex_masks], axis=1)
-        keep = degs.min(axis=1) >= dmin
+        # the pairs containing v; rows are dropped vertex by vertex, so each
+        # vertex is counted only on the rows the earlier ones passed
+        prev = None
+        for vm in vertex_masks:
+            deg = np.bitwise_count(arr & vm)
+            keep = deg >= dmin
+            if require_sorted and prev is not None:
+                keep &= prev >= deg
+            arr, prev = arr[keep], deg[keep]
         if require_sorted:
-            keep &= np.all(degs[:, :-1] >= degs[:, 1:], axis=1)
-        for mask in arr[keep].tolist():
+            arr = arr[_key_sorted(n, arr, vertex_masks)]
+        for mask in arr.tolist():
             if passes(Graph.from_edge_mask(n, mask)):
                 masks.append(mask)
     return masks

@@ -1,7 +1,11 @@
 import itertools
 import random
+from pathlib import Path
 
+import networkx as nx
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from alphax.canonical import (
     MAX_CANONICAL_VERTICES,
@@ -10,12 +14,14 @@ from alphax.canonical import (
     are_isomorphic,
     canonical_form,
 )
-from alphax.graph import Graph
+from alphax.graph import Graph, pair_list
 from alphax.graph6 import parse_graph6, write_graph6
 from alphax.families import (
+    disjoint_union,
     make_complete,
     make_complete_bipartite,
     make_cycle,
+    make_friendship,
     make_path,
     make_wheel,
 )
@@ -28,6 +34,67 @@ def petersen() -> Graph:
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, 5 + i) for i in range(5)]
     return Graph.from_edge_list(10, outer + inner + spokes)
+
+
+def icosahedron() -> Graph:
+    top, upper, lower, bottom = 0, range(1, 6), range(6, 11), 11
+    edges = [(top, u) for u in upper] + [(bottom, w) for w in lower]
+    for i in range(5):
+        edges += [(1 + i, 1 + (i + 1) % 5), (6 + i, 6 + (i + 1) % 5)]
+        edges += [(1 + i, 6 + i), (1 + i, 6 + (i + 1) % 5)]
+    return Graph.from_edge_list(12, edges)
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "canonical_golden.txt"
+
+
+def golden_inputs() -> list[Graph]:
+    """Seeded labelled graphs on 1..12 vertices, then symmetric families.
+
+    Each symmetric graph comes as built and under two random relabellings,
+    since those are where automorphism pruning changes the search.
+    """
+    rng = random.Random(20141)
+    graphs = [random_graph(rng, 1 + i % 12, rng.random()) for i in range(400)]
+    c3, c6, k4 = make_cycle(3), make_cycle(6), make_complete(4)
+    symmetric = [
+        petersen(),
+        icosahedron(),
+        make_cycle(11),
+        make_cycle(12),
+        make_wheel(12),
+        make_complete_bipartite(6, 6),
+        make_complete_bipartite(2, 10),
+        make_friendship(5),
+        disjoint_union(disjoint_union(k4, k4), k4),
+        disjoint_union(disjoint_union(c3, c3), disjoint_union(c3, c3)),
+        disjoint_union(c6, c6),
+        make_complete(12),
+        Graph.from_edge_list(12, []),
+    ]
+    for g in symmetric:
+        graphs.append(g)
+        for _ in range(2):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            graphs.append(perm_apply(g, perm))
+    return graphs
+
+
+def golden_text() -> str:
+    """One line per input: its graph6, a space, its canonical graph6."""
+    return "".join(
+        f"{write_graph6(g)} {canonical_form(g).graph6()}\n" for g in golden_inputs()
+    )
+
+
+def test_golden_canonical_forms():
+    """Reports and data/*.g6 depend on the exact lex-min form, not just on
+    invariance, so the forms must match the recorded ones byte for byte.
+
+    The file was written by ``GOLDEN.write_text(golden_text(), "ascii")``.
+    """
+    assert golden_text() == GOLDEN.read_text("ascii")
 
 
 def test_invariant_under_relabeling_random():
@@ -116,3 +183,66 @@ def test_twin_heavy_graphs():
         perm = list(range(g.n))
         rng.shuffle(perm)
         assert canonical_form(g) == canonical_form(perm_apply(g, perm))
+
+
+@st.composite
+def graphs_up_to_12(draw, min_n=1):
+    n = draw(st.integers(min_n, 12))
+    p = draw(st.sampled_from((0.2, 0.35, 0.5, 0.65, 0.8)))
+    rng = draw(st.randoms(use_true_random=False))
+    return Graph.from_edge_list(n, [e for e in pair_list(n) if rng.random() < p])
+
+
+
+def to_nx(g: Graph) -> nx.Graph:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+@st.composite
+def relabelled_pairs(draw):
+    g = draw(graphs_up_to_12())
+    return g, perm_apply(g, draw(st.permutations(range(g.n))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(relabelled_pairs())
+@example((petersen(), perm_apply(petersen(), [3, 7, 0, 9, 5, 1, 8, 2, 6, 4])))
+@example((icosahedron(), perm_apply(icosahedron(), [11, 4, 9, 0, 6, 2, 10, 7, 1, 5, 3, 8])))
+def test_form_invariant_under_relabelling(pair):
+    g, h = pair
+    assert canonical_form(g) == canonical_form(h)
+
+
+@st.composite
+def degree_equivalent_pairs(draw):
+    """A graph and a relabelled copy after a few degree-preserving edge swaps."""
+    g = draw(graphs_up_to_12(min_n=5))  # smaller graphs admit few swaps
+    h = g
+    for _ in range(draw(st.integers(1, 4))):
+        # ab, cd -> ad, cb keeps every degree
+        swaps = [
+            (a, b, c, d)
+            for (a, b), (x, y) in itertools.combinations(h.edges(), 2)
+            for c, d in ((x, y), (y, x))
+            if len({a, b, c, d}) == 4 and not h.has_edge(a, d) and not h.has_edge(c, b)
+        ]
+        if not swaps:
+            break
+        a, b, c, d = draw(st.sampled_from(swaps))
+        h = h.delete_edge(a, b).delete_edge(c, d).add_edge(a, d).add_edge(c, b)
+    return g, perm_apply(h, draw(st.permutations(range(g.n))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(degree_equivalent_pairs())
+@example((make_cycle(6), Graph.from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])))
+@example((make_complete_bipartite(3, 3), Graph.from_edge_list(6, [
+    (0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5),
+])))
+def test_forms_separate_exactly_the_non_isomorphic_pairs(pair):
+    g, h = pair
+    assert sorted(g.degrees()) == sorted(h.degrees())
+    assert (canonical_form(g) == canonical_form(h)) == nx.is_isomorphic(to_nx(g), to_nx(h))

@@ -194,6 +194,23 @@ def test_vertex_flow_cancels_a_unit_to_reroute():
     assert _flow.vertex_disjoint_paths(g.adjacency_rows(), 2, 6) == 2
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(flow_queries())
+def test_deletion_test_matches_networkx(query):
+    g, u, v, k = query
+    g = g if g.has_edge(u, v) else g.add_edge(u, v)
+    adj = g.adjacency_rows()
+    rest = to_nx(g.delete_edge(u, v))
+    local = nx.algorithms.connectivity
+    want_edge = local.local_edge_connectivity(rest, u, v) >= k
+    assert conn._paths_survive_deletion(adj, u, v, k, None) == want_edge
+    # the vertex test derives G - uv's split network from G's
+    split = _flow.vertex_split(adj)
+    want_vertex = local.local_node_connectivity(rest, u, v) >= k
+    assert conn._paths_survive_deletion(adj, u, v, k, split) == want_vertex
+    assert split == _flow.vertex_split(adj)  # the caller's network is left intact
+
+
 def definition_minimal(is_k, g, k):
     return is_k(g, k) and all(not is_k(g.delete_edge(u, v), k) for u, v in g.edges())
 

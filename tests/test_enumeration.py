@@ -17,6 +17,8 @@ from helpers import iter_all_graphs
 ALL_CONN = ClassFilter("all-connected", 1)
 MIN_2EC = ClassFilter("min-edge", 2)
 MIN_3C = ClassFilter("min-vertex", 3)
+MIN_2C = ClassFilter("min-vertex", 2)
+MIN_3EC = ClassFilter("min-edge", 3)
 
 
 def test_filter_parsing():
@@ -80,6 +82,20 @@ def test_matches_brute_force_oracle_n5(flt):
         oracle = dedup_by_isomorphism([g for g in iter_all_graphs(n) if flt.passes(g)])
         got = enumerate_class(n, flt)
         assert {canonical_form(g) for g in got} == {canonical_form(g) for g in oracle}
+
+
+@pytest.mark.parametrize("flt", [MIN_2C, MIN_3EC], ids=lambda f: f.describe())
+def test_matches_brute_force_oracle_n6(flt):
+    # the acceptance suite covers the other classes up to n=6
+    for n in range(2, 7):
+        oracle = dedup_by_isomorphism([g for g in iter_all_graphs(n) if flt.passes(g)])
+        assert enumerate_class(n, flt) == oracle
+
+
+def test_repeat_calls_return_fresh_lists():
+    first = enumerate_class(5, MIN_2EC)
+    first.clear()
+    assert len(enumerate_class(5, MIN_2EC)) == 3
 
 
 def test_dedup_by_isomorphism():

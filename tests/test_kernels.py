@@ -1,5 +1,5 @@
 from alphax import kernels
-from alphax.graph import Graph
+from alphax.graph import Graph, neighbor_degree_sum
 from alphax.enumeration import ClassFilter, scan_plan
 
 
@@ -10,15 +10,22 @@ def plan_for(n, name):
 
 
 def test_scan_masks_decode_to_class_members():
-    flt, lo, hi, dmin = plan_for(5, "min-2-edge-connected")
-    masks = kernels.scan_masks(5, lo, hi, dmin, flt.passes)
-    assert masks
-    assert masks == sorted(masks)
-    for mask in masks:
-        g = Graph.from_edge_mask(5, mask)
-        assert flt.passes(g)
-        degs = g.degrees()
-        assert degs == sorted(degs, reverse=True)  # the scan's labeling filter
+    for n, name in [
+        (5, "min-2-edge-connected"),
+        (6, "min-2-connected"),
+        (6, "min-3-edge-connected"),
+        (6, "all-connected"),
+    ]:
+        flt, lo, hi, dmin = plan_for(n, name)
+        masks = kernels.scan_masks(n, lo, hi, dmin, flt.passes)
+        assert masks
+        assert masks == sorted(masks)
+        for mask in masks:
+            g = Graph.from_edge_mask(n, mask)
+            assert flt.passes(g)
+            # the scan's labelling filter
+            keys = [(g.degree(v), neighbor_degree_sum(g, v)) for v in range(n)]
+            assert keys == sorted(keys, reverse=True)
 
 
 def test_unsorted_scan_is_a_superset():
