@@ -1,9 +1,9 @@
 """Command line interface.
 
-Subcommands: rho, bounds, classify, enumerate, verify (thm11-odd, thm11-even,
-thm12, lemmas), certify-colsums.  Exit codes: 0 verified, 2 verified but with
-numerical ties, 1 violation found, 64 usage or input error (including files
-that cannot be read or written).
+Subcommands: rho, bounds, classify, enumerate, verify (a theorem of
+verify.THEOREMS, or lemmas), certify-colsums.  Exit codes: 0 verified, 2
+verified but with numerical ties, 1 violation found, 64 usage or input error
+(including files that cannot be read or written).
 
 Graph arguments accept, in order of precedence: a path to an existing file
 (.g6/.graph6 for graph6, .edges/.txt for the edge-list format), a family spec
@@ -13,6 +13,8 @@ such as W7 or K2,6, or a literal graph6 line.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import math
 import os
 import sys
 
@@ -53,10 +55,10 @@ def load_graph(token: str) -> Graph:
         if token.endswith((".edges", ".txt")):
             return parse_edge_list(text)
         raise UsageError(f"unrecognized graph file extension on {token!r}")
-    try:
+    if families.FAMILY_RE.match(token):
+        # digits and "," lie below graph6's first byte (63), so a token of
+        # this shape is never graph6: the family's own error is the useful one
         return families.parse_family_spec(token)
-    except ValueError:
-        pass
     try:
         return parse_graph6(token)
     except Graph6Error as exc:
@@ -78,9 +80,27 @@ def _parse_alphas(text: str) -> list[float]:
     return alphas
 
 
+def _tolerance(text: str) -> float:
+    """--tol: NaN would switch the residual check off, a negative value fails it."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not tol >= 0.0:
+        raise argparse.ArgumentTypeError(f"tolerance must be a number >= 0, got {text!r}")
+    return tol
+
+
 def _read_class_file(path: str) -> list[Graph]:
     with open(path, "r", encoding="ascii") as fh:
         return parse_graph6_lines(fh.read())
+
+
+def _class_graphs(flt: ClassFilter, args) -> list[Graph]:
+    """Class members on args.n vertices, from the --in file or the built-in scan."""
+    if args.infile:
+        return ingest_class(_read_class_file(args.infile), args.n, flt)
+    return enumerate_class(args.n, flt)
 
 
 def _write_reports(reports, out: str | None) -> None:
@@ -97,19 +117,21 @@ def _write_reports(reports, out: str | None) -> None:
         fh.write(payload)
 
 
+def _bounds_text(g: Graph, alpha: float) -> str:
+    lower = f"lower(delta)={bound_lower_delta(g, alpha):.12g}"
+    if g.min_degree() < 1:
+        return f"{lower} (upper bounds need minimum degree >= 1)"
+    return (f"upper(degree)={bound_upper_degree(g, alpha):.12g} "
+            f"upper(edge)={bound_upper_edge(g, alpha):.12g} {lower}")
+
+
 def _cmd_rho(args) -> int:
     g = load_graph(args.graph)
     for alpha in _parse_alphas(args.alphas):
         res = spectral_radius(g, alpha, tol=args.tol)
         print(f"alpha={alpha!r} rho={res.radius:.12g} residual={res.residual:.3e} "
               f"enclosure=[{res.lower:.17g}, {res.upper:.17g}]")
-        if g.min_degree() >= 1:
-            print(f"  upper(degree)={bound_upper_degree(g, alpha):.12g} "
-                  f"upper(edge)={bound_upper_edge(g, alpha):.12g} "
-                  f"lower(delta)={bound_lower_delta(g, alpha):.12g}")
-        else:
-            print(f"  lower(delta)={bound_lower_delta(g, alpha):.12g} "
-                  "(upper bounds need minimum degree >= 1)")
+        print(f"  {_bounds_text(g, alpha)}")
     return 0
 
 
@@ -117,34 +139,20 @@ def _cmd_bounds(args) -> int:
     g = load_graph(args.graph)
     print(f"n={g.n} m={g.m} delta={g.min_degree()} Delta={g.max_degree()}")
     for alpha in _parse_alphas(args.alphas):
-        if g.min_degree() >= 1:
-            print(f"alpha={alpha!r} upper(degree)={bound_upper_degree(g, alpha):.12g} "
-                  f"upper(edge)={bound_upper_edge(g, alpha):.12g} "
-                  f"lower(delta)={bound_lower_delta(g, alpha):.12g}")
-        else:
-            print(f"alpha={alpha!r} lower(delta)={bound_lower_delta(g, alpha):.12g} "
-                  "(upper bounds need minimum degree >= 1)")
+        print(f"alpha={alpha!r} {_bounds_text(g, alpha)}")
     return 0
 
 
 def _cmd_classify(args) -> int:
-    g = load_graph(args.graph)
-    info = connectivity.classify(g, args.k)
-    for name in (
-        "n", "m", "k", "vertex_connectivity", "edge_connectivity",
-        "is_k_connected", "is_k_edge_connected",
-        "is_minimally_k_connected", "is_minimally_k_edge_connected",
-    ):
-        print(f"{name}: {getattr(info, name)}")
+    info = connectivity.classify(load_graph(args.graph), args.k)
+    for f in dataclasses.fields(info):
+        print(f"{f.name}: {getattr(info, f.name)}")
     return 0
 
 
 def _cmd_enumerate(args) -> int:
     flt = ClassFilter.parse(args.cls)
-    if args.infile:
-        members = ingest_class(_read_class_file(args.infile), args.n, flt)
-    else:
-        members = enumerate_class(args.n, flt)
+    members = _class_graphs(flt, args)
     lines = "".join(write_graph6(g) + "\n" for g in members)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -157,7 +165,8 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.target == "lemmas":
-        checks = verify.verify_lemma_suite(args.n if args.n else 7)
+        checks = verify.verify_lemma_suite(
+            verify.MAX_LEMMA_N if args.n is None else args.n)
         for c in checks:
             status = "ok" if not c.violations else f"VIOLATED by {', '.join(c.violations)}"
             print(f"{c.name} [{c.class_name} n={c.n} size={c.class_size}]: {status}")
@@ -166,12 +175,8 @@ def _cmd_verify(args) -> int:
         raise UsageError("--n is required for theorem checks")
     alphas = _parse_alphas(args.alphas)
     source = _read_class_file(args.infile) if args.infile else None
-    runner = {
-        "thm11-odd": verify.verify_thm11_odd,
-        "thm11-even": verify.verify_thm11_even,
-        "thm12": verify.verify_thm12,
-    }[args.target]
-    reports = runner(args.n, alphas, source_graphs=source, tol=args.tol)
+    reports = verify.verify_theorem(
+        args.target, args.n, alphas, source_graphs=source, tol=args.tol)
     _write_reports(reports, args.out)
     for r in reports:
         if r.violation:
@@ -192,14 +197,13 @@ def _cmd_certify_colsums(args) -> int:
     alphas = _parse_alphas(args.alphas)
     if args.graph:
         graphs = [load_graph(args.graph)]
-    elif args.cls and args.n:
+    elif args.cls and args.n is not None:
         flt = ClassFilter.parse(args.cls)
-        if args.infile:
-            graphs = ingest_class(_read_class_file(args.infile), args.n, flt)
-        else:
-            graphs = enumerate_class(args.n, flt)
+        graphs = _class_graphs(flt, args)
         if args.max_degree is not None:
             graphs = [g for g in graphs if g.max_degree() <= args.max_degree]
+        if not graphs:
+            raise UsageError(f"no {flt.describe()} graph on {args.n} vertices to check")
     else:
         raise UsageError("give a GRAPH argument or both --class and --n")
     all_negative = True
@@ -225,7 +229,7 @@ def build_parser() -> _Parser:
     def add_common_spectral(p):
         p.add_argument("--alphas", default="0.5,0.75",
                        help="comma-separated alpha values (default 0.5,0.75)")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                        help="largest accepted eigenpair residual")
 
     p_rho = sub.add_parser("rho", help="alpha-index with residual and bounds")
@@ -254,7 +258,7 @@ def build_parser() -> _Parser:
 
     p_ver = sub.add_parser("verify", help="run an extremal or structural check")
     p_ver.add_argument("target",
-                       choices=["thm11-odd", "thm11-even", "thm12", "lemmas"])
+                       choices=[*verify.THEOREMS, "lemmas"])
     p_ver.add_argument("--n", type=int)
     add_common_spectral(p_ver)
     p_ver.add_argument("--in", dest="infile", help="graph6 class file to ingest")

@@ -122,9 +122,8 @@ def enumerate_class(n: int, flt: ClassFilter) -> list[Graph]:
 @lru_cache(maxsize=16)
 def _scan_class(n: int, flt: ClassFilter) -> tuple[Graph, ...]:
     m_lo, m_hi, dmin, _ = scan_plan(n, flt)
-    masks = kernels.scan_masks(n, m_lo, m_hi, dmin, flt.passes, require_sorted=True)
-    forms = {canonical_form(Graph.from_edge_mask(n, mask)) for mask in masks}
-    return tuple(f.graph() for f in sorted(forms))
+    masks = kernels.scan_masks(n, m_lo, m_hi, dmin, flt.passes)
+    return tuple(dedup_by_isomorphism(Graph.from_edge_mask(n, mask) for mask in masks))
 
 
 def dedup_by_isomorphism(graphs) -> list[Graph]:

@@ -80,12 +80,12 @@ def join(g1: Graph, g2: Graph) -> Graph:
     return Graph.from_edge_list(base.n, edges)
 
 
-_FAMILY_RE = re.compile(r"^\s*([PCKWF])\s*(\d+)\s*(?:,\s*(\d+))?\s*$", re.IGNORECASE)
+FAMILY_RE = re.compile(r"^\s*([PCKWF])\s*(\d+)\s*(?:,\s*(\d+))?\s*$", re.IGNORECASE)
 
 
 def parse_family_spec(spec: str) -> Graph:
     """Build the graph named by a FamilySpec string such as "W7" or "K2,6"."""
-    match = _FAMILY_RE.match(spec)
+    match = FAMILY_RE.match(spec)
     if not match:
         raise ValueError(f"unrecognized family spec {spec!r}")
     letter = match.group(1).upper()

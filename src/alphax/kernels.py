@@ -3,12 +3,12 @@
 Iterate every labeled graph on n vertices whose edge count lies in
 [m_lo, m_hi], keep those with minimum degree at least dmin, and hand each
 survivor of that cheap filter to the exact class predicate the caller passes.
-With ``require_sorted`` (the symmetry reduction used before isomorphism
-dedup) a labelling must also list its vertices in lexicographically
-non-increasing order of (degree, sum of neighbour degrees).  That key is
-isomorphism-invariant, so every class keeps at least one labelling.  The
-filter is vectorized numpy over chunks of edge masks; the neighbour-degree
-sums are computed only on the rows whose degrees already passed.
+As a symmetry reduction before isomorphism dedup, a labelling must also list
+its vertices in lexicographically non-increasing order of (degree, sum of
+neighbour degrees).  That key is isomorphism-invariant, so every class keeps
+at least one labelling.  The filter is vectorized numpy over chunks of edge
+masks; the neighbour-degree sums are computed only on the rows whose degrees
+already passed.
 enumerate_class passes ClassFilter.passes, the test ingested graphs go
 through too, so the scan and the ingest path share one predicate, and its
 correctness rests on the brute-force and networkx oracles of the test suite.
@@ -42,12 +42,7 @@ def _key_sorted(n: int, arr: np.ndarray, vertex_masks: np.ndarray) -> np.ndarray
 
 
 def scan_masks(
-    n: int,
-    m_lo: int,
-    m_hi: int,
-    dmin: int,
-    passes: Callable[[Graph], bool],
-    require_sorted: bool = True,
+    n: int, m_lo: int, m_hi: int, dmin: int, passes: Callable[[Graph], bool]
 ) -> list[int]:
     """Edge masks of all labeled graphs passing the filters and ``passes``, ascending."""
     vertex_masks = np.zeros(n, dtype=np.int64)
@@ -67,11 +62,10 @@ def scan_masks(
         for vm in vertex_masks:
             deg = np.bitwise_count(arr & vm)
             keep = deg >= dmin
-            if require_sorted and prev is not None:
+            if prev is not None:
                 keep &= prev >= deg
             arr, prev = arr[keep], deg[keep]
-        if require_sorted:
-            arr = arr[_key_sorted(n, arr, vertex_masks)]
+        arr = arr[_key_sorted(n, arr, vertex_masks)]
         for mask in arr.tolist():
             if passes(Graph.from_edge_mask(n, mask)):
                 masks.append(mask)

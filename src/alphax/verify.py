@@ -21,6 +21,7 @@ import io
 import json
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import __version__, families
 from .canonical import canonical_form
@@ -58,9 +59,9 @@ class SearchReport:
     class_size: int
     max_value: float
     argmax_canonical: str
-    argmax_matches_expected: bool | None
-    expected_canonical: str | None
-    expected_value: float | None
+    argmax_matches_expected: bool
+    expected_canonical: str
+    expected_value: float
     runner_up_value: float | None
     spectral_gap: float | None
     ties_within_tolerance: int
@@ -71,11 +72,8 @@ class SearchReport:
 
     @property
     def violation(self) -> bool:
-        if self.argmax_matches_expected is False:
-            return True
-        if self.expected_value is not None:
-            return abs(self.max_value - self.expected_value) > VALUE_TOL
-        return False
+        return (not self.argmax_matches_expected
+                or abs(self.max_value - self.expected_value) > VALUE_TOL)
 
     def to_dict(self) -> dict:
         return {
@@ -145,32 +143,64 @@ def exit_code(reports) -> int:
     return 0
 
 
-def _class_members(n, flt, source_graphs):
-    if source_graphs is None:
-        members = enumerate_class(n, flt)
-        _, _, _, notes = scan_plan(n, flt)
-        return members, "builtin", tuple(notes)
-    members = ingest_class(source_graphs, n, flt)
-    return members, "graph6-ingest", ()
+@dataclass(frozen=True)
+class Theorem:
+    """One maximizer claim: over the class at every order n that ``order_ok``
+    admits, ``expected(n)`` attains the largest alpha-index, whose value is
+    ``closed_form(n, alpha)``, for every alpha in [1/2, 1)."""
+
+    flt: ClassFilter
+    order_ok: Callable[[int], bool]
+    order_error: str  # UsageError text for a rejected n, formatted with n
+    expected: Callable[[int], Graph]
+    closed_form: Callable[[int, float], float]
+
+
+THEOREMS = {
+    # Theorem 1.1, odd order: the friendship graph F_{(n-1)/2}
+    "thm11-odd": Theorem(
+        ClassFilter("min-edge", 2),
+        lambda n: n >= 7 and n % 2 == 1,
+        "odd-order check needs odd n >= 7, got {n}",
+        lambda n: families.make_friendship((n - 1) // 2),
+        families.rho_friendship,
+    ),
+    # Theorem 1.1, even order: K_{2,n-2}
+    "thm11-even": Theorem(
+        ClassFilter("min-edge", 2),
+        lambda n: n >= 8 and n % 2 == 0,
+        "even-order check needs even n >= 8, got {n}",
+        lambda n: families.make_complete_bipartite(2, n - 2),
+        lambda n, a: families.rho_complete_bipartite(2, n - 2, a),
+    ),
+    # Theorem 1.2: the wheel W_n over minimally 3-connected graphs
+    "thm12": Theorem(
+        ClassFilter("min-vertex", 3),
+        lambda n: n >= 7,
+        "wheel check needs n >= 7, got {n}",
+        families.make_wheel,
+        lambda n, a: families.rho_join_regular(0, 1, 2, n - 1, a),
+    ),
+}
 
 
 def run_search(
-    n: int,
-    flt: ClassFilter,
-    alphas,
-    *,
-    expected: Graph | None = None,
-    expected_value_fn=None,
-    source_graphs=None,
-    tol: float = DEFAULT_TOL,
+    n: int, thm: Theorem, alphas, *, source_graphs=None, tol: float = DEFAULT_TOL
 ) -> list[SearchReport]:
-    """Evaluate the class maximum for each alpha and report."""
+    """Evaluate the class maximum for each alpha and report it against ``thm``."""
     start = time.perf_counter()
-    members, source, pruning = _class_members(n, flt, source_graphs)
+    flt = thm.flt
+    if source_graphs is None:
+        members = enumerate_class(n, flt)
+        _, _, _, notes = scan_plan(n, flt)
+        source, pruning = "builtin", tuple(notes)
+    else:
+        members = ingest_class(source_graphs, n, flt)
+        source, pruning = "graph6-ingest", ()
     if not members:
         raise UsageError(f"class {flt.describe()} is empty at n={n}")
     member_g6 = [write_graph6(g) for g in members]
-    expected_g6 = write_graph6(canonical_form(expected).graph()) if expected else None
+    expected_g6 = write_graph6(canonical_form(thm.expected(n)).graph())
     reports = []
     alphas = tuple(float(a) for a in alphas)
     solved = alpha_indices(members, alphas, tol)
@@ -182,8 +212,6 @@ def run_search(
         runner_up = max(others) if others else None
         gap = max_value - runner_up if runner_up is not None else None
         ties = sum(1 for v in others if v > max_value - TIE_TOL)
-        matches = member_g6[max_idx] == expected_g6 if expected_g6 else None
-        expected_value = expected_value_fn(alpha) if expected_value_fn else None
         runtime_ms = int(round((time.perf_counter() - start) * 1000))
         reports.append(
             SearchReport(
@@ -195,9 +223,9 @@ def run_search(
                 class_size=len(members),
                 max_value=max_value,
                 argmax_canonical=member_g6[max_idx],
-                argmax_matches_expected=matches,
+                argmax_matches_expected=member_g6[max_idx] == expected_g6,
                 expected_canonical=expected_g6,
-                expected_value=expected_value,
+                expected_value=thm.closed_form(n, alpha),
                 runner_up_value=runner_up,
                 spectral_gap=gap,
                 ties_within_tolerance=ties,
@@ -212,62 +240,20 @@ def run_search(
     return reports
 
 
-def _check_alphas_half_one(alphas) -> tuple[float, ...]:
-    out = tuple(float(a) for a in alphas)
-    if not out:
+def verify_theorem(
+    name: str, n: int, alphas, *, source_graphs=None, tol: float = DEFAULT_TOL
+) -> list[SearchReport]:
+    """Check the claim ``THEOREMS[name]`` at order n over an alpha grid in [1/2, 1)."""
+    thm = THEOREMS[name]
+    alphas = tuple(float(a) for a in alphas)
+    if not alphas:
         raise UsageError("need at least one alpha")
-    for a in out:
+    for a in alphas:
         if not 0.5 <= a < 1.0:
             raise UsageError(f"alpha {a} outside the supported range [1/2, 1)")
-    return out
-
-
-def verify_thm11_odd(n, alphas, *, source_graphs=None, **kw) -> list[SearchReport]:
-    """Odd order: the friendship graph maximizes over min-2-edge-connected graphs."""
-    alphas = _check_alphas_half_one(alphas)
-    if n < 7 or n % 2 == 0:
-        raise UsageError(f"odd-order check needs odd n >= 7, got {n}")
-    return run_search(
-        n,
-        ClassFilter("min-edge", 2),
-        alphas,
-        expected=families.make_friendship((n - 1) // 2),
-        expected_value_fn=lambda a: families.rho_friendship(n, a),
-        source_graphs=source_graphs,
-        **kw,
-    )
-
-
-def verify_thm11_even(n, alphas, *, source_graphs=None, **kw) -> list[SearchReport]:
-    """Even order: K_{2,n-2} maximizes over min-2-edge-connected graphs."""
-    alphas = _check_alphas_half_one(alphas)
-    if n < 8 or n % 2 == 1:
-        raise UsageError(f"even-order check needs even n >= 8, got {n}")
-    return run_search(
-        n,
-        ClassFilter("min-edge", 2),
-        alphas,
-        expected=families.make_complete_bipartite(2, n - 2),
-        expected_value_fn=lambda a: families.rho_complete_bipartite(2, n - 2, a),
-        source_graphs=source_graphs,
-        **kw,
-    )
-
-
-def verify_thm12(n, alphas, *, source_graphs=None, **kw) -> list[SearchReport]:
-    """The wheel maximizes over minimally 3-connected graphs."""
-    alphas = _check_alphas_half_one(alphas)
-    if n < 7:
-        raise UsageError(f"wheel check needs n >= 7, got {n}")
-    return run_search(
-        n,
-        ClassFilter("min-vertex", 3),
-        alphas,
-        expected=families.make_wheel(n),
-        expected_value_fn=lambda a: families.rho_join_regular(0, 1, 2, n - 1, a),
-        source_graphs=source_graphs,
-        **kw,
-    )
+    if not thm.order_ok(n):
+        raise UsageError(thm.order_error.format(n=n))
+    return run_search(n, thm, alphas, source_graphs=source_graphs, tol=tol)
 
 
 # -- structural lemma suite ------------------------------------------------
@@ -285,6 +271,23 @@ class LemmaCheck:
 MAX_LEMMA_N = 7
 
 
+def _cycle_without_two_degree_3(g: Graph) -> bool:
+    return any(sum(1 for v in cyc if g.degree(v) == 3) < 2 for cyc in all_cycles(g))
+
+
+# (lemma, class, test that a member violates it), in report order for each n
+LEMMAS = [
+    ("min-degree-equals-k", ClassFilter("min-edge", 2), lambda g: g.min_degree() != 2),
+    ("min-degree-equals-k", ClassFilter("min-edge", 3), lambda g: g.min_degree() != 3),
+    ("min-degree-equals-k", ClassFilter("min-vertex", 2), lambda g: g.min_degree() != 2),
+    ("min-degree-equals-k", ClassFilter("min-vertex", 3), lambda g: g.min_degree() != 3),
+    ("edge-count-at-most-2n-2", ClassFilter("min-edge", 2), lambda g: g.m > 2 * g.n - 2),
+    ("no-chorded-cycle", ClassFilter("min-edge", 2), has_chorded_cycle),
+    ("every-cycle-has-two-degree-3-vertices", ClassFilter("min-vertex", 3),
+     _cycle_without_two_degree_3),
+]
+
+
 def verify_lemma_suite(n_max: int = MAX_LEMMA_N) -> list[LemmaCheck]:
     """Check the structural facts behind the pruning on every small class member.
 
@@ -297,55 +300,11 @@ def verify_lemma_suite(n_max: int = MAX_LEMMA_N) -> list[LemmaCheck]:
         raise UsageError(f"lemma suite supports 3 <= n <= {MAX_LEMMA_N}, got {n_max}")
     checks: list[LemmaCheck] = []
     for n in range(3, n_max + 1):
-        classes = {
-            ("min-edge", 2): enumerate_class(n, ClassFilter("min-edge", 2)),
-            ("min-edge", 3): enumerate_class(n, ClassFilter("min-edge", 3)),
-            ("min-vertex", 2): enumerate_class(n, ClassFilter("min-vertex", 2)),
-            ("min-vertex", 3): enumerate_class(n, ClassFilter("min-vertex", 3)),
-        }
-        for (kind, k), members in classes.items():
-            flt = ClassFilter(kind, k)
-            bad = tuple(
-                write_graph6(g) for g in members if g.min_degree() != k
-            )
-            checks.append(
-                LemmaCheck("min-degree-equals-k", flt.describe(), n, len(members), bad)
-            )
-        min2e = classes[("min-edge", 2)]
-        checks.append(
-            LemmaCheck(
-                "edge-count-at-most-2n-2",
-                "min-2-edge-connected",
-                n,
-                len(min2e),
-                tuple(write_graph6(g) for g in min2e if g.m > 2 * n - 2),
-            )
-        )
-        checks.append(
-            LemmaCheck(
-                "no-chorded-cycle",
-                "min-2-edge-connected",
-                n,
-                len(min2e),
-                tuple(write_graph6(g) for g in min2e if has_chorded_cycle(g)),
-            )
-        )
-        min3v = classes[("min-vertex", 3)]
-        bad3 = []
-        for g in min3v:
-            for cyc in all_cycles(g):
-                if sum(1 for v in cyc if g.degree(v) == 3) < 2:
-                    bad3.append(write_graph6(g))
-                    break
-        checks.append(
-            LemmaCheck(
-                "every-cycle-has-two-degree-3-vertices",
-                "min-3-connected",
-                n,
-                len(min3v),
-                tuple(bad3),
-            )
-        )
+        for name, flt, violated in LEMMAS:
+            # enumerate_class is cached per (n, class): repeated lookups are free
+            members = enumerate_class(n, flt)
+            bad = tuple(write_graph6(g) for g in members if violated(g))
+            checks.append(LemmaCheck(name, flt.describe(), n, len(members), bad))
     return checks
 
 

@@ -48,7 +48,7 @@ def min2ec8_members():
 
 @pytest.fixture(scope="module")
 def n8_reports_builtin():
-    return verify.verify_thm11_even(8, (0.5, 0.75))
+    return verify.verify_theorem("thm11-even", 8, (0.5, 0.75))
 
 
 def strip_volatile(report) -> dict:
@@ -90,7 +90,7 @@ def test_criterion_01_closed_forms_match_solver():
 
 
 def test_criterion_02_odd_order_maximizer_is_friendship():
-    reports = verify.verify_thm11_odd(7, (0.5, 0.7, 0.9))
+    reports = verify.verify_theorem("thm11-odd", 7, (0.5, 0.7, 0.9))
     assert verify.exit_code(reports) == 0
     for rep in reports:
         assert rep.class_size == 11
@@ -101,7 +101,7 @@ def test_criterion_02_odd_order_maximizer_is_friendship():
 
 
 def test_criterion_03_wheel_maximizes_minimally_3_connected():
-    reports = verify.verify_thm12(7, (0.5, 0.75))
+    reports = verify.verify_theorem("thm12", 7, (0.5, 0.75))
     assert verify.exit_code(reports) == 0
     for rep in reports:
         assert rep.class_size == 5
@@ -126,8 +126,8 @@ def test_criterion_04_even_order_both_paths_agree(min2ec8_members, n8_reports_bu
     shipped = DATA_FILE.read_text()
     assert "".join(write_graph6(g) + "\n" for g in min2ec8_members) == shipped
 
-    ingested = verify.verify_thm11_even(
-        8, (0.5, 0.75), source_graphs=parse_graph6_lines(shipped)
+    ingested = verify.verify_theorem(
+        "thm11-even", 8, (0.5, 0.75), source_graphs=parse_graph6_lines(shipped)
     )
     assert verify.exit_code(ingested) == 0
     assert ingested[0].source == "graph6-ingest"

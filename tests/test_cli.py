@@ -225,3 +225,56 @@ def test_import_pins_blas_threads_unless_set(preset, want):
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == want
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["verify", "lemmas", "--n", "0"], "lemma suite supports 3 <= n <= 7, got 0"),
+        (["certify-colsums", "--class", "min-2-connected", "--n", "0"], "n must be positive"),
+    ],
+    ids=["verify-lemmas", "certify-colsums"],
+)
+def test_order_zero_is_rejected(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 64
+    assert err == f"alphax: error: {message}\n"
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+@pytest.mark.parametrize("argv", [["rho", "C5"], ["verify", "thm12", "--n", "7"]],
+                         ids=["rho", "verify"])
+def test_nan_or_negative_tol_exits_64(capsys, argv, tol):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", tol])
+    assert exc.value.code == 64
+    assert "argument --tol: tolerance must be a number >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["max-degree", "empty-file"])
+def test_certify_colsums_with_no_graph_left_exits_64(tmp_path, capsys, source):
+    argv = ["certify-colsums", "--class", "min-2-connected", "--n", "5"]
+    if source == "max-degree":
+        argv += ["--max-degree", "-1"]
+    else:
+        (tmp_path / "empty.g6").write_text("")
+        argv += ["--in", str(tmp_path / "empty.g6")]
+    code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert err == "alphax: error: no min-2-connected graph on 5 vertices to check\n"
+
+
+@pytest.mark.parametrize(
+    "token,message",
+    [
+        ("C2", "cycle needs n >= 3"),
+        ("K0", "complete graph needs n >= 1"),
+        ("W70", "vertex count 70 outside supported range 1..64"),
+    ],
+    ids=["C2", "K0", "W70"],
+)
+def test_family_spec_errors_name_the_family_problem(capsys, token, message):
+    code, _, err = run(capsys, "rho", token)
+    assert code == 64
+    assert err == f"alphax: error: {message}\n"

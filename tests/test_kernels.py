@@ -28,20 +28,6 @@ def test_scan_masks_decode_to_class_members():
             assert keys == sorted(keys, reverse=True)
 
 
-def test_unsorted_scan_is_a_superset():
-    flt, lo, hi, dmin = plan_for(5, "min-2-edge-connected")
-    small = set(kernels.scan_masks(5, lo, hi, dmin, flt.passes))
-    full = set(kernels.scan_masks(5, lo, hi, dmin, flt.passes, require_sorted=False))
-    assert small <= full
-    # the full scan is exactly the labeled membership list
-    want = {
-        g.edge_mask()
-        for g in (Graph.from_edge_mask(5, m) for m in range(1 << 10))
-        if flt.passes(g)
-    }
-    assert full == want
-
-
 def test_single_vertex_scan():
     flt, lo, hi, dmin = plan_for(1, "all-connected")
     assert kernels.scan_masks(1, lo, hi, dmin, flt.passes) == [0]

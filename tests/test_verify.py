@@ -96,7 +96,7 @@ def test_report_serialization_shapes():
 
 
 def test_run_search_basic_report():
-    reports = verify.verify_thm11_odd(7, (0.6,))
+    reports = verify.verify_theorem("thm11-odd", 7, (0.6,))
     assert len(reports) == 1
     rep = reports[0]
     assert rep.class_size == 11
@@ -111,8 +111,8 @@ def test_run_search_basic_report():
 
 
 def test_run_search_deterministic_output():
-    a = verify.verify_thm11_odd(7, (0.5, 0.7))
-    b = verify.verify_thm11_odd(7, (0.5, 0.7))
+    a = verify.verify_theorem("thm11-odd", 7, (0.5, 0.7))
+    b = verify.verify_theorem("thm11-odd", 7, (0.5, 0.7))
     assert strip_runtime([r.to_dict() for r in a]) == strip_runtime([r.to_dict() for r in b])
     ja = re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', verify.reports_to_json(a))
     jb = re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', verify.reports_to_json(b))
@@ -121,7 +121,7 @@ def test_run_search_deterministic_output():
 
 def test_golden_report_reproduced_byte_for_byte():
     members = parse_graph6_lines((ROOT / "data" / "min2ec_n8.g6").read_text())
-    reports = verify.verify_thm11_even(8, GOLDEN_ALPHAS, source_graphs=members)
+    reports = verify.verify_theorem("thm11-even", 8, GOLDEN_ALPHAS, source_graphs=members)
     assert all(r.certified_unique for r in reports)
     rows = [
         {k: v for k, v in r.to_dict().items() if k != "certified_unique"}
@@ -134,9 +134,9 @@ def test_golden_report_reproduced_byte_for_byte():
 
 def test_run_search_ingested_source():
     members = verify.enumerate_class(7, ClassFilter("min-edge", 2))
-    reports = verify.verify_thm11_odd(7, (0.5,), source_graphs=members)
+    reports = verify.verify_theorem("thm11-odd", 7, (0.5,), source_graphs=members)
     assert reports[0].source == "graph6-ingest"
-    builtin = verify.verify_thm11_odd(7, (0.5,))
+    builtin = verify.verify_theorem("thm11-odd", 7, (0.5,))
     keys = set(verify.CSV_COLUMNS) - {"runtime_ms", "source", "pruning"}
     for a, b in zip(reports, builtin):
         da, db = a.to_dict(), b.to_dict()
@@ -146,22 +146,22 @@ def test_run_search_ingested_source():
 def test_alpha_window_enforced():
     for bad in ((0.4,), (1.0,), (0.5, 0.95, 1.2), ()):
         with pytest.raises(verify.UsageError):
-            verify.verify_thm11_odd(7, bad)
+            verify.verify_theorem("thm11-odd", 7, bad)
 
 
 def test_order_preconditions():
     with pytest.raises(verify.UsageError):
-        verify.verify_thm11_odd(8, (0.5,))
+        verify.verify_theorem("thm11-odd", 8, (0.5,))
     with pytest.raises(verify.UsageError):
-        verify.verify_thm11_odd(5, (0.5,))
+        verify.verify_theorem("thm11-odd", 5, (0.5,))
     with pytest.raises(verify.UsageError):
-        verify.verify_thm11_even(7, (0.5,))
+        verify.verify_theorem("thm11-even", 7, (0.5,))
     with pytest.raises(verify.UsageError):
-        verify.verify_thm12(6, (0.5,))
+        verify.verify_theorem("thm12", 6, (0.5,))
 
 
 def test_expected_graph_is_the_friendship_graph():
-    reports = verify.verify_thm11_odd(7, (0.5,))
+    reports = verify.verify_theorem("thm11-odd", 7, (0.5,))
     from alphax.canonical import canonical_form
 
     want = write_graph6(canonical_form(make_friendship(3)).graph())
