@@ -153,6 +153,8 @@ def _cmd_classify(args) -> int:
 def _cmd_enumerate(args) -> int:
     flt = ClassFilter.parse(args.cls)
     members = _class_graphs(flt, args)
+    if args.infile and not members:
+        raise UsageError(f"no {flt.describe()} graph on {args.n} vertices in {args.infile}")
     lines = "".join(write_graph6(g) + "\n" for g in members)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -208,7 +210,7 @@ def _cmd_certify_colsums(args) -> int:
         raise UsageError("give a GRAPH argument or both --class and --n")
     all_negative = True
     for g in graphs:
-        for alpha, sums in zip(alphas, column_sum_certificate(g, alphas, args.n_param)):
+        for alpha, sums in zip(alphas, column_sum_certificate(g, alphas)):
             if max(sums) >= 0:
                 all_negative = False
             if args.graph:
@@ -272,8 +274,6 @@ def build_parser() -> _Parser:
     p_cert.add_argument("--n", type=int)
     p_cert.add_argument("--in", dest="infile", help="graph6 class file to ingest")
     p_cert.add_argument("--alphas", default="0.5,0.75")
-    p_cert.add_argument("--n-param", type=int, default=None,
-                        help="override the n used in the certificate formula")
     p_cert.add_argument("--max-degree", type=int, default=None,
                         help="only check graphs with max degree at most this")
     p_cert.set_defaults(func=_cmd_certify_colsums)

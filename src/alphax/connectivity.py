@@ -164,11 +164,39 @@ def is_minimally_k_edge_connected(g: Graph, k: int) -> bool:
     return not any(_paths_survive_deletion(adj, u, v, k, None) for u, v in g.edges())
 
 
+def high_degree_forest(g: Graph, k: int) -> bool:
+    """The vertices of degree above k induce a forest.
+
+    Necessary for minimal k-connectivity, where every cycle has a vertex of
+    degree k (Mader, "Ecken vom Grad n in minimalen n-fach
+    zusammenhaengenden Graphen", Arch. Math. 23, 1972).  Not for the edge
+    version: three triangles hung on the corners of a fourth are minimally
+    2-edge-connected, yet the inner triangle's corners all have degree 4.
+    Leaves of the induced subgraph are stripped until nothing is left (a
+    forest) or a non-empty subgraph of minimum degree 2, which holds a
+    cycle, remains.
+    """
+    adj = g.adjacency_rows()
+    rest = sum(1 << v for v, row in enumerate(adj) if row.bit_count() > k)
+    while rest:
+        leaves = 0
+        for v in bits(rest):
+            if (adj[v] & rest).bit_count() <= 1:
+                leaves |= 1 << v
+        if not leaves:
+            return False
+        rest ^= leaves
+    return True
+
+
 def is_minimally_k_connected(g: Graph, k: int) -> bool:
-    """kappa(g) >= k and every single edge deletion drops kappa below k."""
+    """kappa(g) >= k and every single edge deletion drops kappa below k.
+
+    Mader's forest condition (high_degree_forest) is checked before any flow.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if not is_k_connected(g, k):
+    if not high_degree_forest(g, k) or not is_k_connected(g, k):
         return False
     adj = g.adjacency_rows()
     split = _flow.vertex_split(adj)

@@ -1,19 +1,41 @@
 """Isomorph-free enumeration of connectivity-defined graph classes.
 
-Built-in generation scans labeled edge subsets with two layers of filtering.
-Cheap necessary conditions prune the scan: the minimum degree of a minimally
-k-(edge-)connected graph equals k, a minimally 2-edge-connected graph has at
-most 2n-2 edges, and a connected graph has at least n-1 edges.  Only labeled
-graphs whose vertices are in non-increasing order of (degree, sum of
-neighbour degrees) are kept (the key is isomorphism-invariant, so every class
-has such a labelling, nothing is lost and the later dedup shrinks a lot).
-Survivors then pass the exact class predicate, are canonically labelled,
-deduplicated, and returned sorted by canonical form.
+Minimally 2-edge-connected graphs are grown, not scanned.  Two theorems make
+that complete.  No cycle of such a graph has a chord (the paper's lemma),
+and a vertex deletion cannot create one.  Every graph of minimum degree at
+least 3 has a chorded cycle: the end of a longest path has all its
+neighbours on the path, and three of them close a cycle with a chord (Posa;
+Czipszer).  So every chorded-cycle-free graph loses a vertex of degree at
+most 2 to one on a vertex fewer, and these graphs are grown from K_1 one
+vertex at a time, joined to at most 2 others, deduplicated by canonical form
+at each order.  A member has minimum degree exactly 2, so the members on n
+vertices are found among order n-1 plus a vertex joined to exactly 2 others,
+by the exact class predicate.
 
-Built-in generation covers n <= 8.  Larger orders are ingested from graph6
-files and pushed through the same predicate/dedup pipeline.  The scan and the
-ingest path run the same class predicate, so neither checks the other; the
-predicate is checked against brute-force and networkx oracles in the tests.
+Every other class is scanned over labeled edge subsets.  Cheap necessary
+conditions prune the scan: the minimum degree of a minimally
+k-(edge-)connected graph equals k, a minimally 2-edge-connected graph has at
+most 2n-2 edges, a minimally k-connected graph on n >= 3k-2 vertices has at
+most k(n-k) edges (Mader, "Ecken vom Grad n in minimalen n-fach
+zusammenhaengenden Graphen", Arch. Math. 23, 1972), and a connected graph
+has at least n-1 edges.  Only labeled graphs whose vertices are in
+non-increasing order of (degree, sum of neighbour degrees) are kept (the key
+is isomorphism-invariant, so every class has such a labelling, nothing is
+lost and the later dedup shrinks a lot).  Survivors then pass the exact
+class predicate, are canonically labelled, deduplicated, and returned sorted
+by canonical form.  For minimally k-connected classes the predicate
+(connectivity.is_minimally_k_connected) first checks that the vertices of
+degree above k induce a forest, since every cycle has a vertex of degree k
+(Mader 1972, above); the edge classes fail that from n=9 on (see
+connectivity.high_degree_forest).
+
+Built-in generation covers n <= 12 (the canonical-form cap) for minimally
+2-edge-connected graphs and n <= 8 for the scanned classes.  Larger orders
+are ingested from graph6 files and pushed through the same predicate/dedup
+pipeline.  The scan and the ingest path run the same class predicate, so
+neither checks the other; the predicate is checked against brute-force and
+networkx oracles in the tests, and the generator against a scan that uses
+neither the chord lemma nor Mader's bounds.
 """
 
 from __future__ import annotations
@@ -24,10 +46,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import connectivity, kernels
-from .canonical import CanonicalForm, CapabilityError, canonical_form
+from .canonical import (
+    MAX_CANONICAL_VERTICES,
+    CanonicalForm,
+    CapabilityError,
+    canonical_form,
+)
 from .graph import Graph, pair_count
 
-MAX_BUILTIN_N = 8
+MAX_BUILTIN_N = 8  # cap of the labelled scan
 
 ALL_CONNECTED = "all-connected"
 _MIN_EDGE_RE = re.compile(r"^min-(\d+)-edge-connected$")
@@ -79,6 +106,9 @@ class ClassFilter:
         return connectivity.is_minimally_k_connected(g, self.k)
 
 
+MIN_2EC = ClassFilter("min-edge", 2)
+
+
 def scan_plan(n: int, flt: ClassFilter) -> tuple[int, int, int, list[str]]:
     """(m_lo, m_hi, dmin) for the labeled scan plus the justifying facts."""
     emax = pair_count(n)
@@ -99,7 +129,19 @@ def scan_plan(n: int, flt: ClassFilter) -> tuple[int, int, int, list[str]]:
     if flt.kind == "min-edge" and k == 2:
         m_hi = min(m_hi, 2 * n - 2)
         notes.append("m <= 2n-2: edge count bound for minimally 2-edge-connected graphs")
+    if flt.kind == "min-vertex":
+        if n >= 3 * k - 2:
+            m_hi = min(m_hi, k * (n - k))
+            notes.append(f"m <= {k}(n-{k}): Mader's edge bound for minimally {k}-connected "
+                         f"graphs on n >= {3 * k - 2} vertices")
+        notes.append(f"vertices of degree > {k} induce a forest: every cycle has a vertex "
+                     f"of degree {k} (Mader)")
     return math.ceil(k * n / 2), m_hi, k, notes
+
+
+def builtin_cap(flt: ClassFilter) -> int:
+    """Largest order that enumerate_class generates for the class."""
+    return MAX_CANONICAL_VERTICES if flt == MIN_2EC else MAX_BUILTIN_N
 
 
 def enumerate_class(n: int, flt: ClassFilter) -> list[Graph]:
@@ -111,11 +153,14 @@ def enumerate_class(n: int, flt: ClassFilter) -> list[Graph]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n > MAX_BUILTIN_N:
+    cap = builtin_cap(flt)
+    if n > cap:
         raise CapabilityError(
-            f"built-in generation supports n <= {MAX_BUILTIN_N}; "
+            f"built-in generation of {flt.describe()} supports n <= {cap}; "
             "ingest a pre-generated graph6 file for larger orders"
         )
+    if flt == MIN_2EC:
+        return list(_grow_min2ec(n))
     return list(_scan_class(n, flt))
 
 
@@ -124,6 +169,48 @@ def _scan_class(n: int, flt: ClassFilter) -> tuple[Graph, ...]:
     m_lo, m_hi, dmin, _ = scan_plan(n, flt)
     masks = kernels.scan_masks(n, m_lo, m_hi, dmin, flt.passes)
     return tuple(dedup_by_isomorphism(Graph.from_edge_mask(n, mask) for mask in masks))
+
+
+def _join_new_vertex(g: Graph, nbrs: int) -> Graph:
+    """g plus a new last vertex adjacent to the vertex set ``nbrs``."""
+    n = g.n
+    adj = [row | ((nbrs >> v) & 1) << n for v, row in enumerate(g.adjacency_rows())]
+    return Graph(n + 1, (*adj, nbrs))
+
+
+def _pairs(n: int) -> list[int]:
+    return [(1 << i) | (1 << j) for j in range(n) for i in range(j)]
+
+
+@lru_cache(maxsize=None)
+def _chorded_cycle_free(n: int) -> tuple[Graph, ...]:
+    """All graphs on n vertices in which no cycle has a chord, canonical and sorted.
+
+    Connected or not: deleting a vertex may disconnect a graph.  A new vertex
+    of degree 0 or 1 lies on no cycle, so only joins to 2 vertices are tested.
+    """
+    if n == 1:
+        return (Graph(1, (0,)),)
+    joins = [0, *(1 << v for v in range(n - 1))]
+    pairs = _pairs(n - 1)
+    forms: set[CanonicalForm] = set()
+    for g in _chorded_cycle_free(n - 1):
+        forms.update(canonical_form(_join_new_vertex(g, nbrs)) for nbrs in joins)
+        for nbrs in pairs:
+            h = _join_new_vertex(g, nbrs)
+            if not connectivity.has_chorded_cycle(h):
+                forms.add(canonical_form(h))
+    return tuple(f.graph() for f in sorted(forms))
+
+
+@lru_cache(maxsize=None)
+def _grow_min2ec(n: int) -> tuple[Graph, ...]:
+    """Minimally 2-edge-connected graphs: level n-1 plus a vertex of degree 2."""
+    if n < 3:
+        return ()
+    pairs = _pairs(n - 1)
+    grown = (_join_new_vertex(g, nbrs) for g in _chorded_cycle_free(n - 1) for nbrs in pairs)
+    return tuple(dedup_by_isomorphism(h for h in grown if MIN_2EC.passes(h)))
 
 
 def dedup_by_isomorphism(graphs) -> list[Graph]:

@@ -150,7 +150,8 @@ def test_usage_errors_exit_64(capsys):
     assert run(capsys, "rho", "W7", "--alphas", "1.5")[0] == 64       # alpha range
     assert run(capsys, "rho", "A_X", "--alphas", "0.5")[0] == 64      # bad graph6
     assert run(capsys, "verify", "thm11-odd", "--n", "8", "--alphas", "0.5")[0] == 64
-    assert run(capsys, "enumerate", "--n", "9", "--class", "min-2-edge-connected")[0] == 64
+    assert run(capsys, "enumerate", "--n", "13", "--class", "min-2-edge-connected")[0] == 64
+    assert run(capsys, "enumerate", "--n", "9", "--class", "min-3-connected")[0] == 64
     assert run(capsys, "certify-colsums", "--alphas", "0.5")[0] == 64  # no target
 
 
@@ -188,6 +189,10 @@ def test_os_error_in_a_fresh_process_has_no_traceback(tmp_path):
     [
         (["verify", "thm11-odd", "--n", "7", "--jobs", "2"], "--jobs"),
         (["rho", "W7", "--max-iters", "5"], "--max-iters"),
+        # the certificate's n is the graph's order; nothing may override it
+        (["certify-colsums", "C8", "--n-param", "9"], "--n-param"),
+        (["certify-colsums", "--class", "min-2-edge-connected", "--n", "8",
+          "--n-param", "8"], "--n-param"),
     ],
 )
 def test_removed_flags_exit_64(capsys, argv, flag):
@@ -263,6 +268,16 @@ def test_certify_colsums_with_no_graph_left_exits_64(tmp_path, capsys, source):
     assert code == 64
     assert out == ""
     assert err == "alphax: error: no min-2-connected graph on 5 vertices to check\n"
+
+
+def test_enumerate_empty_class_file_exits_64(tmp_path, capsys):
+    (tmp_path / "empty.g6").write_text("")
+    code, out, err = run(capsys, "enumerate", "--n", "8", "--class", "min-2-edge-connected",
+                         "--in", str(tmp_path / "empty.g6"))
+    assert code == 64
+    assert out == ""
+    assert err == ("alphax: error: no min-2-edge-connected graph on 8 vertices in "
+                   f"{tmp_path / 'empty.g6'}\n")
 
 
 @pytest.mark.parametrize(

@@ -1,18 +1,32 @@
+from pathlib import Path
+
+import networkx as nx
 import pytest
 
+from alphax import connectivity, enumeration, kernels
 from alphax.canonical import CapabilityError, canonical_form
+from alphax.connectivity import high_degree_forest
 from alphax.enumeration import (
     MAX_BUILTIN_N,
     ClassFilter,
+    builtin_cap,
     dedup_by_isomorphism,
     enumerate_class,
     ingest_class,
     scan_plan,
 )
-from alphax.graph6 import write_graph6
+from alphax.graph import Graph, all_cycles, chords_of_cycle, pair_count
+from alphax.graph6 import parse_graph6_lines, write_graph6
 from alphax.families import make_complete, make_cycle
 
-from helpers import iter_all_graphs
+from helpers import (
+    brute_edge_connectivity,
+    brute_vertex_connectivity,
+    connected_class_reps,
+    iter_all_graphs,
+)
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 ALL_CONN = ClassFilter("all-connected", 1)
 MIN_2EC = ClassFilter("min-edge", 2)
@@ -43,7 +57,9 @@ def test_scan_plan_windows():
     lo, hi, dmin, _ = scan_plan(6, ALL_CONN)
     assert (lo, hi, dmin) == (5, 15, 1)
     lo, hi, dmin, _ = scan_plan(7, MIN_3C)
-    assert (lo, hi, dmin) == (11, 21, 3)
+    assert (lo, hi, dmin) == (11, 12, 3)  # Mader: m <= k(n-k) once n >= 3k-2
+    lo, hi, dmin, _ = scan_plan(6, MIN_3C)
+    assert (lo, hi, dmin) == (9, 15, 3)  # below 3k-2 the bound is not claimed
 
 
 def test_connected_counts():
@@ -115,7 +131,97 @@ def test_ingest_validates_and_filters():
 
 
 def test_builtin_cap_points_to_ingestion():
+    # the scanned classes stop at 8; the grown class at the canonical-form cap
     assert MAX_BUILTIN_N == 8
-    with pytest.raises(CapabilityError) as err:
-        enumerate_class(9, MIN_2EC)
-    assert "ingest" in str(err.value).lower() or "graph6" in str(err.value).lower()
+    for flt, n in [(MIN_3C, 9), (MIN_2EC, 13)]:
+        assert builtin_cap(flt) == n - 1
+        with pytest.raises(CapabilityError) as err:
+            enumerate_class(n, flt)
+        assert "ingest" in str(err.value).lower() or "graph6" in str(err.value).lower()
+
+
+def _plain_min2ec(g: Graph) -> bool:
+    return connectivity.is_minimally_k_edge_connected(g, 2)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_grown_class_matches_lemma_free_scan(n):
+    # neither the chord lemma nor an edge bound: every labelling with
+    # minimum degree 2 (forced by 2-edge-connectivity) meets the predicate
+    masks = kernels.scan_masks(n, n, pair_count(n), 2, _plain_min2ec)
+    scanned = dedup_by_isomorphism(Graph.from_edge_mask(n, m) for m in masks)
+    assert enumerate_class(n, MIN_2EC) == scanned
+
+
+def test_chorded_cycle_free_levels_match_atlas():
+    want: dict[int, int] = {}
+    for nxg in nx.graph_atlas_g()[1:]:
+        n = nxg.number_of_nodes()
+        g = Graph.from_edge_list(n, nxg.edges())
+        if not any(chords_of_cycle(g, cyc) for cyc in all_cycles(g)):
+            want[n] = want.get(n, 0) + 1
+    assert want == {1: 1, 2: 2, 3: 4, 4: 9, 5: 21, 6: 56, 7: 158}
+    got = {n: len(enumeration._chorded_cycle_free(n)) for n in range(1, 8)}
+    assert got == want
+
+
+def _brute_minimal(g: Graph, k: int, conn) -> bool:
+    return conn(g) >= k and all(conn(g.delete_edge(u, v)) < k for u, v in g.edges())
+
+
+@pytest.mark.parametrize(
+    "flt,conn",
+    [(MIN_2EC, brute_edge_connectivity), (MIN_3EC, brute_edge_connectivity),
+     (MIN_2C, brute_vertex_connectivity), (MIN_3C, brute_vertex_connectivity)],
+    ids=["min-2-ec", "min-3-ec", "min-2-c", "min-3-c"],
+)
+def test_mader_checks_keep_every_member_n6(flt, conn):
+    found = 0
+    for n in range(2, 7):
+        lo, hi, dmin, _ = scan_plan(n, flt)
+        for g in connected_class_reps(n):
+            if not _brute_minimal(g, flt.k, conn):
+                continue
+            found += 1
+            assert lo <= g.m <= hi and g.min_degree() >= dmin
+            assert flt.passes(g)
+            if flt.kind == "min-vertex":
+                assert high_degree_forest(g, flt.k)
+    assert found
+
+
+def test_forest_check_is_not_valid_for_edge_classes():
+    # three triangles hung on the corners of a fourth: minimally
+    # 2-edge-connected, but the inner triangle's corners have degree 4
+    edges = [(0, 1), (1, 2), (0, 2)]
+    for corner, (a, b) in zip(range(3), [(3, 4), (5, 6), (7, 8)]):
+        edges += [(corner, a), (corner, b), (a, b)]
+    g = Graph.from_edge_list(9, edges)
+    assert _brute_minimal(g, 2, brute_edge_connectivity)
+    assert not high_degree_forest(g, 2)
+    assert MIN_2EC.passes(g)
+    assert canonical_form(g).graph() in enumerate_class(9, MIN_2EC)
+
+
+@pytest.mark.parametrize("flt", [MIN_2C, MIN_3C], ids=lambda f: f.describe())
+def test_mader_pruned_scan_matches_plain_scan_n7(flt):
+    def plain_minimal(g):  # no Mader check: re-test kappa after every deletion
+        k = flt.k
+        return connectivity.is_k_connected(g, k) and not any(
+            connectivity.is_k_connected(g.delete_edge(u, v), k) for u, v in g.edges())
+
+    plain = kernels.scan_masks(7, 7, pair_count(7), flt.k, plain_minimal)
+    want = dedup_by_isomorphism(Graph.from_edge_mask(7, m) for m in plain)
+    assert enumerate_class(7, flt) == want
+
+
+def test_n9_class_file_regenerates_byte_identically():
+    text = "".join(write_graph6(g) + "\n" for g in enumerate_class(9, MIN_2EC))
+    assert text == (DATA / "min2ec_n9.g6").read_text("ascii")
+    assert text.count("\n") == 63
+
+
+def test_n10_class_file_survives_ingestion():
+    shipped = parse_graph6_lines((DATA / "min2ec_n10.g6").read_text("ascii"))
+    assert len(shipped) == 159
+    assert ingest_class(shipped, 10, MIN_2EC) == shipped

@@ -169,6 +169,18 @@ def test_expected_graph_is_the_friendship_graph():
     assert reports[0].argmax_canonical == want
 
 
+def test_odd_order_nine_is_won_by_f4_builtin():
+    reports = verify.verify_theorem("thm11-odd", 9, (0.5, 0.75, 0.95))
+    from alphax.canonical import canonical_form
+
+    want = write_graph6(canonical_form(make_friendship(4)).graph())
+    for r in reports:
+        assert r.source == "builtin" and r.class_size == 63
+        assert r.argmax_canonical == want and r.argmax_matches_expected
+        assert r.certified_unique and not r.violation
+    assert verify.exit_code(reports) == 0
+
+
 def test_lemma_suite_structure():
     checks = verify.verify_lemma_suite(5)
     assert checks
