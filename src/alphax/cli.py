@@ -21,7 +21,7 @@ import sys
 from . import connectivity, families, verify
 from .enumeration import ClassFilter, enumerate_class, ingest_class
 from .graph import Graph, parse_edge_list
-from .graph6 import Graph6Error, parse_graph6, parse_graph6_lines, write_graph6
+from .graph6 import Graph6Error, parse_graph6, parse_graph6_lines, write_graph6_lines
 from .spectral import (
     DEFAULT_TOL,
     ConvergenceError,
@@ -97,7 +97,7 @@ def _read_class_file(path: str) -> list[Graph]:
 
 
 def _class_graphs(flt: ClassFilter, args) -> list[Graph]:
-    """Class members on args.n vertices, from the --in file or the built-in scan."""
+    """Class members on args.n vertices, from the --in file or built-in generation."""
     if args.infile:
         return ingest_class(_read_class_file(args.infile), args.n, flt)
     return enumerate_class(args.n, flt)
@@ -155,7 +155,7 @@ def _cmd_enumerate(args) -> int:
     members = _class_graphs(flt, args)
     if args.infile and not members:
         raise UsageError(f"no {flt.describe()} graph on {args.n} vertices in {args.infile}")
-    lines = "".join(write_graph6(g) + "\n" for g in members)
+    lines = write_graph6_lines(members)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(lines)

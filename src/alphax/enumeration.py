@@ -1,51 +1,46 @@
 """Isomorph-free enumeration of connectivity-defined graph classes.
 
-Minimally 2-edge-connected graphs are grown, not scanned.  Two theorems make
-that complete.  No cycle of such a graph has a chord (the paper's lemma),
-and a vertex deletion cannot create one.  Every graph of minimum degree at
-least 3 has a chorded cycle: the end of a longest path has all its
-neighbours on the path, and three of them close a cycle with a chord (Posa;
-Czipszer).  So every chorded-cycle-free graph loses a vertex of degree at
-most 2 to one on a vertex fewer, and these graphs are grown from K_1 one
-vertex at a time, joined to at most 2 others, deduplicated by canonical form
-at each order.  A member has minimum degree exactly 2, so the members on n
-vertices are found among order n-1 plus a vertex joined to exactly 2 others,
-by the exact class predicate.
+Every class is grown one vertex at a time: the members on n vertices are the
+graphs of a base level on n-1 vertices plus a vertex joined to exactly k of
+them (every base vertex of degree below k among them) that pass the exact
+class predicate, deduplicated by canonical form.  That finds every minimally
+k-(edge-)connected graph G with m edges, because:
 
-Every other class is scanned over labeled edge subsets.  Cheap necessary
-conditions prune the scan: the minimum degree of a minimally
-k-(edge-)connected graph equals k, a minimally 2-edge-connected graph has at
-most 2n-2 edges, a minimally k-connected graph on n >= 3k-2 vertices has at
-most k(n-k) edges (Mader, "Ecken vom Grad n in minimalen n-fach
-zusammenhaengenden Graphen", Arch. Math. 23, 1972), and a connected graph
-has at least n-1 edges.  Only labeled graphs whose vertices are in
-non-increasing order of (degree, sum of neighbour degrees) are kept (the key
-is isomorphism-invariant, so every class has such a labelling, nothing is
-lost and the later dedup shrinks a lot).  Survivors then pass the exact
-class predicate, are canonically labelled, deduplicated, and returned sorted
-by canonical form.  For minimally k-connected classes the predicate
-(connectivity.is_minimally_k_connected) first checks that the vertices of
-degree above k induce a forest, since every cycle has a vertex of degree k
-(Mader 1972, above); the edge classes fail that from n=9 on (see
-connectivity.high_degree_forest).
+* G has a vertex v of degree k (Halin, JCT 7, 1969, for the vertex classes;
+  Mader, Math. Ann. 191, 1971, for the edge classes).
+* G-v is connected.  For the vertex classes kappa(G-v) >= k-1 (for k = 1, v
+  is a leaf).  For the edge classes, if G-v split into parts A and B, one of
+  the cuts (A, B+v) or (A+v, B) would have at most k/2 < k edges.
+* G-v has m-k <= edge_bound-k edges: Mader's k(n-k) for minimally
+  k-connected graphs on n >= 3k-2 vertices (Arch. Math. 23, 1972), the
+  number of vertex pairs otherwise.
+* Deleting a non-cut vertex, such as a leaf of a spanning tree, keeps a graph
+  connected and adds no edge.  So the capped levels (connected graphs with at
+  most m_max edges, grown from K_1 by joining each new vertex to a nonempty
+  set within the edge room) are complete.
+
+The base level is the capped level on n-1 vertices with edge_bound-k edges;
+all-connected is a capped level itself.  Minimally 2-edge-connected graphs
+grow from the chorded-cycle-free graphs instead: no cycle of a member has a
+chord (the paper's lemma), nor after a vertex deletion, and a graph of
+minimum degree 3 has a chorded cycle (Posa, Czipszer), so these graphs grow
+from K_1 by vertices of degree at most 2.
 
 Built-in generation covers n <= 12 (the canonical-form cap) for minimally
-2-edge-connected graphs and n <= 8 for the scanned classes.  Larger orders
-are ingested from graph6 files and pushed through the same predicate/dedup
-pipeline.  The scan and the ingest path run the same class predicate, so
-neither checks the other; the predicate is checked against brute-force and
-networkx oracles in the tests, and the generator against a scan that uses
-neither the chord lemma nor Mader's bounds.
+2-edge-connected graphs and n <= 8 for the other classes; larger orders are
+ingested from graph6 files through the same predicate and dedup.  The tests
+check the predicate against brute-force and networkx oracles, and the
+generator against kernels.scan_masks, which uses none of the facts above.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
-from . import connectivity, kernels
+from . import connectivity
 from .canonical import (
     MAX_CANONICAL_VERTICES,
     CanonicalForm,
@@ -54,7 +49,7 @@ from .canonical import (
 )
 from .graph import Graph, pair_count
 
-MAX_BUILTIN_N = 8  # cap of the labelled scan
+MAX_BUILTIN_N = 8  # cap of every class but min-2-edge-connected
 
 ALL_CONNECTED = "all-connected"
 _MIN_EDGE_RE = re.compile(r"^min-(\d+)-edge-connected$")
@@ -109,34 +104,34 @@ class ClassFilter:
 MIN_2EC = ClassFilter("min-edge", 2)
 
 
-def scan_plan(n: int, flt: ClassFilter) -> tuple[int, int, int, list[str]]:
-    """(m_lo, m_hi, dmin) for the labeled scan plus the justifying facts."""
-    emax = pair_count(n)
-    if flt.kind == ALL_CONNECTED:
-        return (
-            max(n - 1, 0),
-            emax,
-            1 if n > 1 else 0,
-            ["m >= n-1: every connected graph contains a spanning tree"],
-        )
+def edge_bound(n: int, flt: ClassFilter) -> int:
+    """Largest edge count of a class member on n vertices."""
     k = flt.k
-    notes = [
-        f"delta >= {k}: a minimally {flt.describe().removeprefix('min-')} "
-        f"graph has minimum degree exactly {k}",
-        f"m >= ceil({k}n/2): forced by the degree floor",
-    ]
-    m_hi = emax
-    if flt.kind == "min-edge" and k == 2:
-        m_hi = min(m_hi, 2 * n - 2)
-        notes.append("m <= 2n-2: edge count bound for minimally 2-edge-connected graphs")
-    if flt.kind == "min-vertex":
-        if n >= 3 * k - 2:
-            m_hi = min(m_hi, k * (n - k))
-            notes.append(f"m <= {k}(n-{k}): Mader's edge bound for minimally {k}-connected "
-                         f"graphs on n >= {3 * k - 2} vertices")
-        notes.append(f"vertices of degree > {k} induce a forest: every cycle has a vertex "
-                     f"of degree {k} (Mader)")
-    return math.ceil(k * n / 2), m_hi, k, notes
+    if flt.kind == "min-vertex" and n >= 3 * k - 2:
+        return k * (n - k)  # Mader 1972
+    return pair_count(n)
+
+
+def generation_notes(n: int, flt: ClassFilter) -> list[str]:
+    """The facts that make the built-in generation of the class complete."""
+    levels = ("connected graphs with at most m edges grow from K_1: deleting a non-cut "
+              "vertex (a leaf of a spanning tree) keeps a graph connected")
+    if flt.kind == ALL_CONNECTED:
+        return [levels]
+    k, bound, vertex = flt.k, edge_bound(n, flt), flt.kind == "min-vertex"
+    why = ((f"kappa(G-v) >= {k - 1}" if k > 1 else "v is a leaf") if vertex
+           else f"else a cut (A, B+v) or (A+v, B) has at most {k}/2 < {k} edges")
+    notes = [f"G has a vertex v of degree {k} ({'Halin 1969' if vertex else 'Mader 1971'})",
+             f"G-v is connected: {why}"]
+    if flt == MIN_2EC:
+        return notes + ["no cycle of G-v has a chord (the paper's lemma), so it grows from "
+                        "K_1 by vertices of degree at most 2 (Posa)"]
+    if bound < pair_count(n):
+        notes.append(f"m <= {k}(n-{k}) = {bound}: Mader's edge bound for n >= {3 * k - 2}")
+    notes.append(f"G-v has at most {bound - k} edges; {levels}")
+    if vertex:
+        notes.append(f"vertices of degree > {k} induce a forest (Mader 1972)")
+    return notes
 
 
 def builtin_cap(flt: ClassFilter) -> int:
@@ -153,22 +148,12 @@ def enumerate_class(n: int, flt: ClassFilter) -> list[Graph]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    cap = builtin_cap(flt)
-    if n > cap:
+    if n > (cap := builtin_cap(flt)):
         raise CapabilityError(
             f"built-in generation of {flt.describe()} supports n <= {cap}; "
             "ingest a pre-generated graph6 file for larger orders"
         )
-    if flt == MIN_2EC:
-        return list(_grow_min2ec(n))
-    return list(_scan_class(n, flt))
-
-
-@lru_cache(maxsize=16)
-def _scan_class(n: int, flt: ClassFilter) -> tuple[Graph, ...]:
-    m_lo, m_hi, dmin, _ = scan_plan(n, flt)
-    masks = kernels.scan_masks(n, m_lo, m_hi, dmin, flt.passes)
-    return tuple(dedup_by_isomorphism(Graph.from_edge_mask(n, mask) for mask in masks))
+    return list(_grow(n, flt))
 
 
 def _join_new_vertex(g: Graph, nbrs: int) -> Graph:
@@ -178,8 +163,22 @@ def _join_new_vertex(g: Graph, nbrs: int) -> Graph:
     return Graph(n + 1, (*adj, nbrs))
 
 
-def _pairs(n: int) -> list[int]:
-    return [(1 << i) | (1 << j) for j in range(n) for i in range(j)]
+@lru_cache(maxsize=None)
+def _k_sets(n: int, k: int) -> tuple[int, ...]:
+    """Every k-subset of n vertices, as a vertex mask."""
+    return tuple(sum(1 << v for v in c) for c in combinations(range(n), k))
+
+
+@lru_cache(maxsize=None)
+def _connected(n: int, m_max: int) -> tuple[Graph, ...]:
+    """All connected graphs on n vertices with at most m_max edges, canonical and sorted."""
+    if m_max > pair_count(n):
+        return _connected(n, pair_count(n))
+    if n == 1:
+        return (Graph(1, (0,)),) if m_max >= 0 else ()
+    grown = (_join_new_vertex(g, nbrs) for g in _connected(n - 1, m_max - 1)
+             for nbrs in range(1, 1 << (n - 1)) if g.m + nbrs.bit_count() <= m_max)
+    return tuple(dedup_by_isomorphism(grown))
 
 
 @lru_cache(maxsize=None)
@@ -192,11 +191,10 @@ def _chorded_cycle_free(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1, (0,)),)
     joins = [0, *(1 << v for v in range(n - 1))]
-    pairs = _pairs(n - 1)
     forms: set[CanonicalForm] = set()
     for g in _chorded_cycle_free(n - 1):
         forms.update(canonical_form(_join_new_vertex(g, nbrs)) for nbrs in joins)
-        for nbrs in pairs:
+        for nbrs in _k_sets(n - 1, 2):
             h = _join_new_vertex(g, nbrs)
             if not connectivity.has_chorded_cycle(h):
                 forms.add(canonical_form(h))
@@ -204,13 +202,21 @@ def _chorded_cycle_free(n: int) -> tuple[Graph, ...]:
 
 
 @lru_cache(maxsize=None)
-def _grow_min2ec(n: int) -> tuple[Graph, ...]:
-    """Minimally 2-edge-connected graphs: level n-1 plus a vertex of degree 2."""
-    if n < 3:
+def _grow(n: int, flt: ClassFilter) -> tuple[Graph, ...]:
+    """The class on n vertices: a base level on n-1 vertices plus a vertex of degree k."""
+    if flt.kind == ALL_CONNECTED:
+        return _connected(n, pair_count(n))
+    if n < 2:
         return ()
-    pairs = _pairs(n - 1)
-    grown = (_join_new_vertex(g, nbrs) for g in _chorded_cycle_free(n - 1) for nbrs in pairs)
-    return tuple(dedup_by_isomorphism(h for h in grown if MIN_2EC.passes(h)))
+    k = flt.k
+    base = (_chorded_cycle_free(n - 1) if flt == MIN_2EC
+            else _connected(n - 1, edge_bound(n, flt) - k))
+    members = []
+    for g in base:  # the new vertex must lift every base degree below k
+        low = sum(1 << v for v, d in enumerate(g.degrees()) if d < k)
+        joins = (_join_new_vertex(g, s) for s in _k_sets(n - 1, k) if s & low == low)
+        members += filter(flt.passes, joins)
+    return tuple(dedup_by_isomorphism(members))
 
 
 def dedup_by_isomorphism(graphs) -> list[Graph]:

@@ -1,18 +1,13 @@
-"""Hot numeric kernel: labeled edge-subset scanning.
+"""The labelled reference scan: every labelled edge subset, filtered.
 
 Iterate every labeled graph on n vertices whose edge count lies in
-[m_lo, m_hi], keep those with minimum degree at least dmin, and hand each
-survivor of that cheap filter to the exact class predicate the caller passes.
-As a symmetry reduction before isomorphism dedup, a labelling must also list
-its vertices in lexicographically non-increasing order of (degree, sum of
-neighbour degrees).  That key is isomorphism-invariant, so every class keeps
-at least one labelling.  The filter is vectorized numpy over chunks of edge
-masks; the neighbour-degree sums are computed only on the rows whose degrees
-already passed.
-enumerate_class passes ClassFilter.passes, the test ingested graphs go
-through too, so the scan and the ingest path share one predicate, and its
-correctness rests on the brute-force and networkx oracles of the test suite.
-Edge bit positions follow the column pair order of graph.pair_list.
+[m_lo, m_hi], keep those with minimum degree at least dmin whose vertices are
+in lexicographically non-increasing order of (degree, sum of neighbour
+degrees), an isomorphism-invariant key, and hand each to the class predicate
+the caller passes, in vectorized numpy over chunks of edge masks.  No
+campaign calls the scan: enumeration grows every class, and the tests check
+the generator against this scan with plain predicates.  Edge bit positions
+follow the column pair order of graph.pair_list.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from typing import Callable
 from . import __version__, families
 from .canonical import canonical_form
 from .connectivity import has_chorded_cycle
-from .enumeration import ClassFilter, enumerate_class, ingest_class, scan_plan
+from .enumeration import ClassFilter, enumerate_class, generation_notes, ingest_class
 from .graph import Graph, all_cycles
 from .graph6 import write_graph6
 # spectral_radius is unused here but stays a name of this module, where
@@ -192,8 +192,7 @@ def run_search(
     flt = thm.flt
     if source_graphs is None:
         members = enumerate_class(n, flt)
-        _, _, _, notes = scan_plan(n, flt)
-        source, pruning = "builtin", tuple(notes)
+        source, pruning = "builtin", tuple(generation_notes(n, flt))
     else:
         members = ingest_class(source_graphs, n, flt)
         source, pruning = "graph6-ingest", ()

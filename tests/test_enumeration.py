@@ -11,12 +11,13 @@ from alphax.enumeration import (
     ClassFilter,
     builtin_cap,
     dedup_by_isomorphism,
+    edge_bound,
     enumerate_class,
+    generation_notes,
     ingest_class,
-    scan_plan,
 )
 from alphax.graph import Graph, all_cycles, chords_of_cycle, pair_count
-from alphax.graph6 import parse_graph6_lines, write_graph6
+from alphax.graph6 import parse_graph6_lines, write_graph6, write_graph6_lines
 from alphax.families import make_complete, make_cycle
 
 from helpers import (
@@ -27,6 +28,7 @@ from helpers import (
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+TEST_DATA = Path(__file__).resolve().parent / "data"
 
 ALL_CONN = ClassFilter("all-connected", 1)
 MIN_2EC = ClassFilter("min-edge", 2)
@@ -51,15 +53,16 @@ def test_filter_describe_round_trips():
 
 
 def test_scan_plan_windows():
-    lo, hi, dmin, notes = scan_plan(6, MIN_2EC)
-    assert (lo, hi, dmin) == (6, 10, 2)
-    assert notes  # pruning facts are spelled out
-    lo, hi, dmin, _ = scan_plan(6, ALL_CONN)
-    assert (lo, hi, dmin) == (5, 15, 1)
-    lo, hi, dmin, _ = scan_plan(7, MIN_3C)
-    assert (lo, hi, dmin) == (11, 12, 3)  # Mader: m <= k(n-k) once n >= 3k-2
-    lo, hi, dmin, _ = scan_plan(6, MIN_3C)
-    assert (lo, hi, dmin) == (9, 15, 3)  # below 3k-2 the bound is not claimed
+    # the generator's edge bound: Mader's k(n-k) for min-k-connected graphs
+    # once n >= 3k-2, the number of vertex pairs otherwise
+    assert edge_bound(6, MIN_2EC) == 15
+    assert edge_bound(6, ALL_CONN) == 15
+    assert edge_bound(7, MIN_3C) == 12
+    assert edge_bound(6, MIN_3C) == 15  # below 3k-2 the bound is not claimed
+    assert edge_bound(7, MIN_3EC) == 21
+    for flt in (ALL_CONN, MIN_2EC, MIN_3C, MIN_3EC):
+        assert generation_notes(7, flt)  # the facts behind generation are spelled out
+    assert "m <= 3(n-3) = 12" in " ".join(generation_notes(7, MIN_3C))
 
 
 def test_connected_counts():
@@ -131,7 +134,7 @@ def test_ingest_validates_and_filters():
 
 
 def test_builtin_cap_points_to_ingestion():
-    # the scanned classes stop at 8; the grown class at the canonical-form cap
+    # min-2-edge-connected grows to the canonical-form cap, every other class to 8
     assert MAX_BUILTIN_N == 8
     for flt, n in [(MIN_3C, 9), (MIN_2EC, 13)]:
         assert builtin_cap(flt) == n - 1
@@ -140,17 +143,44 @@ def test_builtin_cap_points_to_ingestion():
         assert "ingest" in str(err.value).lower() or "graph6" in str(err.value).lower()
 
 
-def _plain_min2ec(g: Graph) -> bool:
-    return connectivity.is_minimally_k_edge_connected(g, 2)
-
-
 @pytest.mark.parametrize("n", range(3, 8))
 def test_grown_class_matches_lemma_free_scan(n):
-    # neither the chord lemma nor an edge bound: every labelling with
-    # minimum degree 2 (forced by 2-edge-connectivity) meets the predicate
-    masks = kernels.scan_masks(n, n, pair_count(n), 2, _plain_min2ec)
-    scanned = dedup_by_isomorphism(Graph.from_edge_mask(n, m) for m in masks)
-    assert enumerate_class(n, MIN_2EC) == scanned
+    # no lemma, degree-k vertex or edge bound: every labelling with minimum
+    # degree k (forced by k-(edge-)connectivity) meets the plain predicate
+    plain = [
+        (MIN_2EC, lambda g: connectivity.is_minimally_k_edge_connected(g, 2)),
+        (MIN_3EC, lambda g: connectivity.is_minimally_k_edge_connected(g, 3)),
+        (ALL_CONN, Graph.is_connected),
+    ]
+    for flt, passes in plain:
+        masks = kernels.scan_masks(n, 0, pair_count(n), flt.k, passes)
+        scanned = dedup_by_isomorphism(Graph.from_edge_mask(n, m) for m in masks)
+        assert enumerate_class(n, flt) == scanned, flt.describe()
+
+
+def test_connected_levels_match_atlas_counts():
+    want = [0] * 8
+    for nxg in nx.graph_atlas_g()[1:]:
+        want[nxg.number_of_nodes()] += nx.is_connected(nxg)
+    sizes = [len(enumeration._connected(n, pair_count(n))) for n in range(1, 8)]
+    assert sizes == want[1:] == [1, 1, 2, 6, 21, 112, 853]
+    # a capped level is exactly the full level cut at the edge cap
+    for n, m_max in [(5, 4), (6, 8), (7, 9)]:
+        full = enumeration._connected(n, pair_count(n))
+        assert enumeration._connected(n, m_max) == tuple(g for g in full if g.m <= m_max)
+    assert enumeration._connected(4, 2) == ()  # fewer than n-1 edges
+
+
+@pytest.mark.parametrize(
+    "name,flt,size",
+    [("min3c_n8.g6", MIN_3C, 18), ("min2c_n8.g6", MIN_2C, 12), ("min3ec_n8.g6", MIN_3EC, 34)],
+    ids=["min-3-connected", "min-2-connected", "min-3-edge-connected"],
+)
+def test_grown_class_reproduces_scan_snapshot_n8(name, flt, size):
+    # written by the labelled scan before these classes were grown
+    text = write_graph6_lines(enumerate_class(8, flt))
+    assert text == (TEST_DATA / name).read_text("ascii")
+    assert text.count("\n") == size
 
 
 def test_chorded_cycle_free_levels_match_atlas():
@@ -178,12 +208,11 @@ def _brute_minimal(g: Graph, k: int, conn) -> bool:
 def test_mader_checks_keep_every_member_n6(flt, conn):
     found = 0
     for n in range(2, 7):
-        lo, hi, dmin, _ = scan_plan(n, flt)
         for g in connected_class_reps(n):
             if not _brute_minimal(g, flt.k, conn):
                 continue
             found += 1
-            assert lo <= g.m <= hi and g.min_degree() >= dmin
+            assert g.m <= edge_bound(n, flt) and g.min_degree() == flt.k
             assert flt.passes(g)
             if flt.kind == "min-vertex":
                 assert high_degree_forest(g, flt.k)

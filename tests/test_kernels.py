@@ -1,12 +1,22 @@
 from alphax import kernels
-from alphax.graph import Graph, neighbor_degree_sum
-from alphax.enumeration import ClassFilter, scan_plan
+from alphax.graph import Graph, neighbor_degree_sum, pair_count
+from alphax.enumeration import ClassFilter
+
+# (m_lo, m_hi, dmin) windows: a connected graph has at least n-1 edges, a
+# minimally k-(edge-)connected graph minimum degree k, so at least kn/2 edges
+WINDOWS = {
+    (1, "all-connected"): (0, 0, 0),
+    (5, "min-2-edge-connected"): (5, 10, 2),
+    (6, "min-2-connected"): (6, 15, 2),
+    (6, "min-3-edge-connected"): (9, 15, 3),
+    (6, "all-connected"): (5, 15, 1),
+}
 
 
 def plan_for(n, name):
-    flt = ClassFilter.parse(name)
-    lo, hi, dmin, _ = scan_plan(n, flt)
-    return flt, lo, hi, dmin
+    lo, hi, dmin = WINDOWS[n, name]
+    assert hi == pair_count(n)
+    return ClassFilter.parse(name), lo, hi, dmin
 
 
 def test_scan_masks_decode_to_class_members():

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from alphax import verify
-from alphax.enumeration import ClassFilter
+from alphax.enumeration import ClassFilter, generation_notes
 from alphax.families import make_friendship, rho_friendship
 from alphax.graph6 import parse_graph6_lines, write_graph6
 
@@ -130,6 +130,18 @@ def test_golden_report_reproduced_byte_for_byte():
     zero = lambda text: re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', text)
     got = zero(json.dumps(rows, indent=2) + "\n")
     assert got == zero(GOLDEN_REPORT.read_text())
+
+
+@pytest.mark.parametrize("target", ["thm11-odd", "thm12"])
+def test_builtin_reports_name_the_generation_facts(target):
+    flt = verify.THEOREMS[target].flt
+    reports = verify.verify_theorem(target, 7, (0.5, 0.75))
+    for row in json.loads(verify.reports_to_json(reports)):
+        assert row["pruning"] == generation_notes(7, flt)
+        joined = ";".join(row["pruning"])
+        assert "m <= 2n-2" not in joined and "m >= ceil" not in joined  # no scan window
+    csv_rows = list(csv.DictReader(io.StringIO(verify.reports_to_csv(reports))))
+    assert csv_rows[0]["pruning"] == ";".join(generation_notes(7, flt))
 
 
 def test_run_search_ingested_source():
