@@ -76,7 +76,7 @@ def vertex_split(adj: tuple[int, ...]) -> list[int]:
 
 
 def vertex_disjoint_paths(
-    adj: tuple[int, ...], s: int, t: int, limit: int = _BIG, split: list[int] | None = None
+    adj: tuple[int, ...], s: int, t: int, limit: int = _BIG, *, split: list[int]
 ) -> int:
     """Number of internally vertex-disjoint s-t paths, capped at ``limit``.
 
@@ -84,11 +84,9 @@ def vertex_disjoint_paths(
     uv becomes arcs u_out -> v_in and v_out -> u_in; the flow runs from s_out
     to t_in.  Unit edge arcs are exact, because every internal vertex passes
     at most one unit.  Requires s and t non-adjacent, otherwise the count the
-    caller wants is not bounded by a vertex cut.  Callers that probe several
-    pairs of one graph pass ``split = vertex_split(adj)``, built once.
+    caller wants is not bounded by a vertex cut.  ``split`` is
+    ``vertex_split(adj)``, built once by callers that probe several pairs.
     """
     if (adj[s] >> t) & 1:
         raise ValueError("vertex_disjoint_paths requires non-adjacent endpoints")
-    if split is None:
-        split = vertex_split(adj)
     return _unit_flow(split, 2 * s + 1, 2 * t, limit)

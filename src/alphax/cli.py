@@ -34,6 +34,7 @@ from .spectral import (
 from .verify import UsageError
 
 USAGE_EXIT = 64
+DEFAULT_ALPHAS = "0.5,0.75"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,7 +68,9 @@ def load_graph(token: str) -> Graph:
         )
 
 
-def _parse_alphas(text: str) -> list[float]:
+def _parse_alphas(text: str | None) -> list[float]:
+    if text is None:
+        text = DEFAULT_ALPHAS
     try:
         alphas = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
@@ -89,6 +92,12 @@ def _tolerance(text: str) -> float:
     if not tol >= 0.0:
         raise argparse.ArgumentTypeError(f"tolerance must be a number >= 0, got {text!r}")
     return tol
+
+
+def _reject_options(args, mode: str, flags: dict[str, str]) -> None:
+    """Usage error for options given to a mode that does not read them."""
+    if given := [flag for dest, flag in flags.items() if getattr(args, dest) is not None]:
+        raise UsageError(f"{mode} takes no {', '.join(given)}")
 
 
 def _read_class_file(path: str) -> list[Graph]:
@@ -128,7 +137,7 @@ def _bounds_text(g: Graph, alpha: float) -> str:
 def _cmd_rho(args) -> int:
     g = load_graph(args.graph)
     for alpha in _parse_alphas(args.alphas):
-        res = spectral_radius(g, alpha, tol=args.tol)
+        res = spectral_radius(g, alpha, tol=DEFAULT_TOL if args.tol is None else args.tol)
         print(f"alpha={alpha!r} rho={res.radius:.12g} residual={res.residual:.3e} "
               f"enclosure=[{res.lower:.17g}, {res.upper:.17g}]")
         print(f"  {_bounds_text(g, alpha)}")
@@ -167,6 +176,8 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.target == "lemmas":
+        _reject_options(args, "verify lemmas", {
+            "infile": "--in", "out": "--out", "alphas": "--alphas", "tol": "--tol"})
         checks = verify.verify_lemma_suite(
             verify.MAX_LEMMA_N if args.n is None else args.n)
         for c in checks:
@@ -177,8 +188,9 @@ def _cmd_verify(args) -> int:
         raise UsageError("--n is required for theorem checks")
     alphas = _parse_alphas(args.alphas)
     source = _read_class_file(args.infile) if args.infile else None
+    tol = DEFAULT_TOL if args.tol is None else args.tol
     reports = verify.verify_theorem(
-        args.target, args.n, alphas, source_graphs=source, tol=args.tol)
+        args.target, args.n, alphas, source_graphs=source, tol=tol)
     _write_reports(reports, args.out)
     for r in reports:
         if r.violation:
@@ -198,6 +210,8 @@ def _cmd_verify(args) -> int:
 def _cmd_certify_colsums(args) -> int:
     alphas = _parse_alphas(args.alphas)
     if args.graph:
+        _reject_options(args, "certify-colsums GRAPH", {
+            "cls": "--class", "n": "--n", "infile": "--in", "max_degree": "--max-degree"})
         graphs = [load_graph(args.graph)]
     elif args.cls and args.n is not None:
         flt = ClassFilter.parse(args.cls)
@@ -228,20 +242,21 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="alphax", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common_spectral(p):
-        p.add_argument("--alphas", default="0.5,0.75",
-                       help="comma-separated alpha values (default 0.5,0.75)")
-        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
-                       help="largest accepted eigenpair residual")
+    # no defaults here: verify lemmas rejects these options when given
+    def add_spectral(p, tol=True):
+        p.add_argument("--alphas", help=f"comma-separated alpha values (default {DEFAULT_ALPHAS})")
+        if tol:
+            p.add_argument("--tol", type=_tolerance,
+                           help=f"largest accepted eigenpair residual (default {DEFAULT_TOL:g})")
 
     p_rho = sub.add_parser("rho", help="alpha-index with residual and bounds")
     p_rho.add_argument("graph")
-    add_common_spectral(p_rho)
+    add_spectral(p_rho)
     p_rho.set_defaults(func=_cmd_rho)
 
     p_bounds = sub.add_parser("bounds", help="closed-form bounds only")
     p_bounds.add_argument("graph")
-    add_common_spectral(p_bounds)
+    add_spectral(p_bounds, tol=False)
     p_bounds.set_defaults(func=_cmd_bounds)
 
     p_cls = sub.add_parser("classify", help="connectivity class membership")
@@ -262,7 +277,7 @@ def build_parser() -> _Parser:
     p_ver.add_argument("target",
                        choices=[*verify.THEOREMS, "lemmas"])
     p_ver.add_argument("--n", type=int)
-    add_common_spectral(p_ver)
+    add_spectral(p_ver)
     p_ver.add_argument("--in", dest="infile", help="graph6 class file to ingest")
     p_ver.add_argument("--out", help="report path (.json or .csv)")
     p_ver.set_defaults(func=_cmd_verify)
@@ -273,7 +288,7 @@ def build_parser() -> _Parser:
     p_cert.add_argument("--class", dest="cls")
     p_cert.add_argument("--n", type=int)
     p_cert.add_argument("--in", dest="infile", help="graph6 class file to ingest")
-    p_cert.add_argument("--alphas", default="0.5,0.75")
+    add_spectral(p_cert, tol=False)
     p_cert.add_argument("--max-degree", type=int, default=None,
                         help="only check graphs with max degree at most this")
     p_cert.set_defaults(func=_cmd_certify_colsums)

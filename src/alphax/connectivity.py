@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from . import _flow
 from .graph import Graph, bits
 
-_BIG = 1 << 20
-
 
 def _require_multi_vertex(g: Graph) -> None:
     if g.n < 2:
@@ -37,7 +35,7 @@ def edge_connectivity(g: Graph) -> int:
     if not g.is_connected():
         return 0
     adj = g.adjacency_rows()
-    best = _BIG
+    best = g.n  # above every connectivity value
     for t in range(1, g.n):
         best = min(best, _flow.edge_disjoint_paths(adj, 0, t, limit=best))
     return best
@@ -80,7 +78,7 @@ def vertex_connectivity(g: Graph) -> int:
         return g.n - 1
     adj = g.adjacency_rows()
     split = _flow.vertex_split(adj)
-    best = _BIG
+    best = g.n  # above every connectivity value
     for s, t in _vertex_pair_schedule(g):
         best = min(best, _flow.vertex_disjoint_paths(adj, s, t, limit=best, split=split))
     return best
@@ -222,14 +220,15 @@ def classify(g: Graph, k: int) -> ClassMembership:
     if k < 1:
         raise ValueError("k must be at least 1")
     _require_multi_vertex(g)
+    kappa, lam = vertex_connectivity(g), edge_connectivity(g)
     return ClassMembership(
         n=g.n,
         m=g.m,
         k=k,
-        vertex_connectivity=vertex_connectivity(g),
-        edge_connectivity=edge_connectivity(g),
-        is_k_connected=is_k_connected(g, k),
-        is_k_edge_connected=is_k_edge_connected(g, k),
+        vertex_connectivity=kappa,
+        edge_connectivity=lam,
+        is_k_connected=kappa >= k,
+        is_k_edge_connected=lam >= k,
         is_minimally_k_connected=is_minimally_k_connected(g, k),
         is_minimally_k_edge_connected=is_minimally_k_edge_connected(g, k),
     )

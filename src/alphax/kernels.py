@@ -1,13 +1,13 @@
 """The labelled reference scan: every labelled edge subset, filtered.
 
-Iterate every labeled graph on n vertices whose edge count lies in
-[m_lo, m_hi], keep those with minimum degree at least dmin whose vertices are
-in lexicographically non-increasing order of (degree, sum of neighbour
-degrees), an isomorphism-invariant key, and hand each to the class predicate
-the caller passes, in vectorized numpy over chunks of edge masks.  No
-campaign calls the scan: enumeration grows every class, and the tests check
-the generator against this scan with plain predicates.  Edge bit positions
-follow the column pair order of graph.pair_list.
+Iterate every labeled graph on n vertices, keep those with minimum degree at
+least dmin whose vertices are in lexicographically non-increasing order of
+(degree, sum of neighbour degrees), an isomorphism-invariant key, and hand
+each to the class predicate the caller passes, in vectorized numpy over
+chunks of edge masks.  No campaign calls the scan: enumeration grows every
+class, and the tests check the generator against this scan with plain
+predicates.  Edge bit positions follow the column pair order of
+graph.pair_list.
 """
 
 from __future__ import annotations
@@ -36,9 +36,7 @@ def _key_sorted(n: int, arr: np.ndarray, vertex_masks: np.ndarray) -> np.ndarray
     return np.all(key[:, :-1] >= key[:, 1:], axis=1)
 
 
-def scan_masks(
-    n: int, m_lo: int, m_hi: int, dmin: int, passes: Callable[[Graph], bool]
-) -> list[int]:
+def scan_masks(n: int, dmin: int, passes: Callable[[Graph], bool]) -> list[int]:
     """Edge masks of all labeled graphs passing the filters and ``passes``, ascending."""
     vertex_masks = np.zeros(n, dtype=np.int64)
     for idx, (i, j) in enumerate(pair_list(n)):
@@ -48,8 +46,6 @@ def scan_masks(
     total = 1 << pair_count(n)
     for start in range(0, total, _SCAN_CHUNK):
         arr = np.arange(start, min(start + _SCAN_CHUNK, total), dtype=np.int64)
-        pc = np.bitwise_count(arr)
-        arr = arr[(pc >= m_lo) & (pc <= m_hi)]
         # degree of vertex v in mask x is the popcount of x restricted to
         # the pairs containing v; rows are dropped vertex by vertex, so each
         # vertex is counted only on the rows the earlier ones passed

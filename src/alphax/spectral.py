@@ -225,7 +225,7 @@ def bound_lower_delta(g: Graph, alpha: float) -> float:
 # -- column-sum certificate ------------------------------------------------
 
 
-def column_sum_certificate(g: Graph, alpha, n_param: int | None = None):
+def column_sum_certificate(g: Graph, alpha):
     """Column sums of B = A_alpha^2 - alpha*n*A_alpha + 2(2a-1)(n-2)*I.
 
     Computed both from the matrix and from the closed form
@@ -236,17 +236,16 @@ def column_sum_certificate(g: Graph, alpha, n_param: int | None = None):
     alphas is evaluated as one numpy batch and gives one such list per alpha.
     """
     if np.ndim(alpha) == 0:
-        return column_sum_certificate(g, [alpha], n_param)[0]
+        return column_sum_certificate(g, [alpha])[0]
     a = np.array([validate_alpha(x) for x in alpha], dtype=np.float64)[:, None]
-    n = g.n if n_param is None else int(n_param)
     deg = np.array(g.degrees(), dtype=np.int64)
     nbr = np.array([neighbor_degree_sum(g, u) for u in range(g.n)], dtype=np.int64)
-    const = 2.0 * (2.0 * a - 1.0) * (n - 2)
-    by_formula = a * deg**2 + (1.0 - a) * nbr - a * n * deg + const
+    const = 2.0 * (2.0 * a - 1.0) * (g.n - 2)
+    by_formula = a * deg**2 + (1.0 - a) * nbr - a * g.n * deg + const
     mat = (1.0 - a[:, :, None]) * g.adjacency_matrix()
     diag = np.arange(g.n)
     mat[:, diag, diag] += a * deg
-    b = mat @ mat - (a * n)[:, :, None] * mat
+    b = mat @ mat - (a * g.n)[:, :, None] * mat
     b[:, diag, diag] += const
     by_matrix = b.sum(axis=1)
     gap = float(np.max(np.abs(by_matrix - by_formula), initial=0.0))

@@ -184,11 +184,20 @@ THEOREMS = {
 }
 
 
-def run_search(
-    n: int, thm: Theorem, alphas, *, source_graphs=None, tol: float = DEFAULT_TOL
+def verify_theorem(
+    name: str, n: int, alphas, *, source_graphs=None, tol: float = DEFAULT_TOL
 ) -> list[SearchReport]:
-    """Evaluate the class maximum for each alpha and report it against ``thm``."""
+    """Check the claim ``THEOREMS[name]`` at order n over an alpha grid in [1/2, 1)."""
     start = time.perf_counter()
+    thm = THEOREMS[name]
+    alphas = tuple(float(a) for a in alphas)
+    if not alphas:
+        raise UsageError("need at least one alpha")
+    for a in alphas:
+        if not 0.5 <= a < 1.0:
+            raise UsageError(f"alpha {a} outside the supported range [1/2, 1)")
+    if not thm.order_ok(n):
+        raise UsageError(thm.order_error.format(n=n))
     flt = thm.flt
     if source_graphs is None:
         members = enumerate_class(n, flt)
@@ -201,7 +210,6 @@ def run_search(
     member_g6 = [write_graph6(g) for g in members]
     expected_g6 = write_graph6(canonical_form(thm.expected(n)).graph())
     reports = []
-    alphas = tuple(float(a) for a in alphas)
     solved = alpha_indices(members, alphas, tol)
     for row, alpha in enumerate(alphas):
         values = solved.value[row].tolist()
@@ -237,22 +245,6 @@ def run_search(
             )
         )
     return reports
-
-
-def verify_theorem(
-    name: str, n: int, alphas, *, source_graphs=None, tol: float = DEFAULT_TOL
-) -> list[SearchReport]:
-    """Check the claim ``THEOREMS[name]`` at order n over an alpha grid in [1/2, 1)."""
-    thm = THEOREMS[name]
-    alphas = tuple(float(a) for a in alphas)
-    if not alphas:
-        raise UsageError("need at least one alpha")
-    for a in alphas:
-        if not 0.5 <= a < 1.0:
-            raise UsageError(f"alpha {a} outside the supported range [1/2, 1)")
-    if not thm.order_ok(n):
-        raise UsageError(thm.order_error.format(n=n))
-    return run_search(n, thm, alphas, source_graphs=source_graphs, tol=tol)
 
 
 # -- structural lemma suite ------------------------------------------------

@@ -193,6 +193,7 @@ def test_os_error_in_a_fresh_process_has_no_traceback(tmp_path):
         (["certify-colsums", "C8", "--n-param", "9"], "--n-param"),
         (["certify-colsums", "--class", "min-2-edge-connected", "--n", "8",
           "--n-param", "8"], "--n-param"),
+        (["bounds", "K2,6", "--tol", "5"], "--tol"),  # bounds solves nothing
     ],
 )
 def test_removed_flags_exit_64(capsys, argv, flag):
@@ -202,6 +203,31 @@ def test_removed_flags_exit_64(capsys, argv, flag):
     err = capsys.readouterr().err
     assert f"unrecognized arguments: {flag}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "mode,argv",
+    [
+        ("verify lemmas", ["--in", "{tmp}/missing.g6"]),
+        ("verify lemmas", ["--out", "{tmp}/lemmas.json"]),
+        ("verify lemmas", ["--alphas", "0.5"]),
+        ("verify lemmas", ["--tol", "1e-10"]),
+        ("certify-colsums GRAPH", ["--class", "min-3-connected"]),
+        ("certify-colsums GRAPH", ["--n", "8"]),
+        ("certify-colsums GRAPH", ["--in", "{tmp}/missing.g6"]),
+        ("certify-colsums GRAPH", ["--max-degree", "1"]),
+    ],
+    ids=["lemmas-in", "lemmas-out", "lemmas-alphas", "lemmas-tol",
+         "colsums-class", "colsums-n", "colsums-in", "colsums-max-degree"],
+)
+def test_options_a_mode_ignores_exit_64(tmp_path, capsys, mode, argv):
+    base = {"verify lemmas": ["verify", "lemmas", "--n", "4"],
+            "certify-colsums GRAPH": ["certify-colsums", "C8"]}[mode]
+    code, out, err = run(capsys, *base, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 64
+    assert out == ""
+    assert err == f"alphax: error: {mode} takes no {argv[0]}\n"
+    assert not any(tmp_path.iterdir())  # no report written
 
 
 def test_unknown_subcommand_exits_64(capsys):

@@ -175,11 +175,14 @@ def test_edge_disjoint_paths_match_networkx(query):
 def test_vertex_disjoint_paths_match_networkx(query):
     g, s, t, limit = query
     if g.has_edge(s, t):
+        adj = g.adjacency_rows()
         with pytest.raises(ValueError):
-            _flow.vertex_disjoint_paths(g.adjacency_rows(), s, t, limit)
+            _flow.vertex_disjoint_paths(adj, s, t, limit, split=_flow.vertex_split(adj))
         g = g.delete_edge(s, t)
     want = nx.algorithms.connectivity.local_node_connectivity(to_nx(g), s, t)
-    assert _flow.vertex_disjoint_paths(g.adjacency_rows(), s, t, limit) == min(limit, want)
+    adj = g.adjacency_rows()
+    got = _flow.vertex_disjoint_paths(adj, s, t, limit, split=_flow.vertex_split(adj))
+    assert got == min(limit, want)
 
 
 def test_vertex_flow_cancels_a_unit_to_reroute():
@@ -191,7 +194,8 @@ def test_vertex_flow_cancels_a_unit_to_reroute():
         (2, 8), (3, 6), (3, 7), (4, 10), (5, 7), (5, 9), (6, 9), (7, 9),
     ])
     assert nx.algorithms.connectivity.local_node_connectivity(to_nx(g), 2, 6) == 2
-    assert _flow.vertex_disjoint_paths(g.adjacency_rows(), 2, 6) == 2
+    adj = g.adjacency_rows()
+    assert _flow.vertex_disjoint_paths(adj, 2, 6, split=_flow.vertex_split(adj)) == 2
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -52,7 +52,7 @@ def test_filter_describe_round_trips():
         assert ClassFilter.parse(flt.describe()) == flt
 
 
-def test_scan_plan_windows():
+def test_edge_bound_and_generation_notes():
     # the generator's edge bound: Mader's k(n-k) for min-k-connected graphs
     # once n >= 3k-2, the number of vertex pairs otherwise
     assert edge_bound(6, MIN_2EC) == 15
@@ -153,7 +153,7 @@ def test_grown_class_matches_lemma_free_scan(n):
         (ALL_CONN, Graph.is_connected),
     ]
     for flt, passes in plain:
-        masks = kernels.scan_masks(n, 0, pair_count(n), flt.k, passes)
+        masks = kernels.scan_masks(n, flt.k, passes)
         scanned = dedup_by_isomorphism(Graph.from_edge_mask(n, m) for m in masks)
         assert enumerate_class(n, flt) == scanned, flt.describe()
 
@@ -233,13 +233,13 @@ def test_forest_check_is_not_valid_for_edge_classes():
 
 
 @pytest.mark.parametrize("flt", [MIN_2C, MIN_3C], ids=lambda f: f.describe())
-def test_mader_pruned_scan_matches_plain_scan_n7(flt):
+def test_grown_vertex_classes_match_plain_scan_n7(flt):
     def plain_minimal(g):  # no Mader check: re-test kappa after every deletion
         k = flt.k
         return connectivity.is_k_connected(g, k) and not any(
             connectivity.is_k_connected(g.delete_edge(u, v), k) for u, v in g.edges())
 
-    plain = kernels.scan_masks(7, 7, pair_count(7), flt.k, plain_minimal)
+    plain = kernels.scan_masks(7, flt.k, plain_minimal)
     want = dedup_by_isomorphism(Graph.from_edge_mask(7, m) for m in plain)
     assert enumerate_class(7, flt) == want
 

@@ -290,9 +290,9 @@ def test_certificate_grid_matches_scalar_loop_exactly():
     grid = [0.0, 0.25, 0.5, 0.6, 0.75, 0.9, 1.0]
     for _ in range(10):
         g = random_graph(rng, rng.randint(2, 10), 0.5)
-        n = g.n + 1
-        rows = column_sum_certificate(g, grid, n_param=n)
-        assert column_sum_certificate(g, grid[2], n_param=n) == rows[2]
+        n = g.n
+        rows = column_sum_certificate(g, grid)
+        assert column_sum_certificate(g, grid[2]) == rows[2]
         for a, row in zip(grid, rows):
             const = 2.0 * (2.0 * a - 1.0) * (n - 2)
             assert row == [
@@ -303,12 +303,3 @@ def test_certificate_grid_matches_scalar_loop_exactly():
                 for u in range(g.n)
             ]
 
-
-def test_certificate_n_param_override():
-    g = make_cycle(6)
-    base = column_sum_certificate(g, 0.75)
-    assert column_sum_certificate(g, 0.75, n_param=6) == base
-    shifted = column_sum_certificate(g, 0.75, n_param=8)
-    # larger n drives the sums down in the -alpha*n*d(u) term faster than the
-    # +2(2a-1)(n-2) constant pushes back: d(u)=2, alpha=0.75 -> net -0.5 per step
-    assert all(s2 < s1 for s1, s2 in zip(base, shifted))
