@@ -26,6 +26,14 @@ chord (the paper's lemma), nor after a vertex deletion, and a graph of
 minimum degree 3 has a chorded cycle (Posa, Czipszer), so these graphs grow
 from K_1 by vertices of degree at most 2.
 
+Each base graph B is joined to one neighbour set per orbit of Aut(B) (the
+generators come with B's canonical form): sigma in Aut(B) maps B+S
+isomorphically onto B+sigma(S).  Every filter on S is Aut(B)-invariant, so
+the candidate sets form whole orbits: the edge room (B's edge count plus
+|S|), the size k, and ``S & low == low`` (``low``, the vertices of degree
+below k, is a union of orbits).  Joins of different base graphs can still
+be isomorphic, so every level is still deduplicated by canonical form.
+
 Built-in generation covers n <= 12 (the canonical-form cap) for minimally
 2-edge-connected graphs and n <= 8 for the other classes; larger orders are
 ingested from graph6 files through the same predicate and dedup.  The tests
@@ -47,7 +55,7 @@ from .canonical import (
     CapabilityError,
     canonical_form,
 )
-from .graph import Graph, pair_count
+from .graph import Graph, bits, pair_count
 
 MAX_BUILTIN_N = 8  # cap of every class but min-2-edge-connected
 
@@ -153,7 +161,7 @@ def enumerate_class(n: int, flt: ClassFilter) -> list[Graph]:
             f"built-in generation of {flt.describe()} supports n <= {cap}; "
             "ingest a pre-generated graph6 file for larger orders"
         )
-    return list(_grow(n, flt))
+    return [g for g, _ in _grow(n, flt)]
 
 
 def _join_new_vertex(g: Graph, nbrs: int) -> Graph:
@@ -169,40 +177,63 @@ def _k_sets(n: int, k: int) -> tuple[int, ...]:
     return tuple(sum(1 << v for v in c) for c in combinations(range(n), k))
 
 
+def _orbit_reps(sets, automorphisms) -> list[int]:
+    """The first of the vertex masks ``sets`` in each orbit of <``automorphisms``>."""
+    seen: set[int] = set()
+    reps = []
+    for s in sets:
+        if s not in seen:
+            reps.append(s)
+            seen.add(s)
+            orbit = [s]
+            for t in orbit:  # grows while it is walked
+                images = {sum(1 << gamma[v] for v in bits(t)) for gamma in automorphisms} - seen
+                seen |= images
+                orbit += images
+    return reps
+
+
+Level = tuple[tuple[Graph, tuple[tuple[int, ...], ...]], ...]
+_K1: Level = ((Graph(1, (0,)), ()),)
+
+
+def _level(graphs) -> Level:
+    """(canonical graph, generators of its automorphism group) per isomorphism class, sorted."""
+    forms: set[CanonicalForm] = {canonical_form(g) for g in graphs}
+    return tuple((f.graph(), f.automorphisms) for f in sorted(forms))
+
+
 @lru_cache(maxsize=None)
-def _connected(n: int, m_max: int) -> tuple[Graph, ...]:
-    """All connected graphs on n vertices with at most m_max edges, canonical and sorted."""
+def _connected(n: int, m_max: int) -> Level:
+    """All connected graphs on n vertices with at most m_max edges."""
     if m_max > pair_count(n):
         return _connected(n, pair_count(n))
     if n == 1:
-        return (Graph(1, (0,)),) if m_max >= 0 else ()
-    grown = (_join_new_vertex(g, nbrs) for g in _connected(n - 1, m_max - 1)
-             for nbrs in range(1, 1 << (n - 1)) if g.m + nbrs.bit_count() <= m_max)
-    return tuple(dedup_by_isomorphism(grown))
+        return _K1 if m_max >= 0 else ()
+    grown = (_join_new_vertex(g, s) for g, autos in _connected(n - 1, m_max - 1)
+             for s in _orbit_reps([nbrs for nbrs in range(1, 1 << (n - 1))
+                                   if g.m + nbrs.bit_count() <= m_max], autos))
+    return _level(grown)
 
 
 @lru_cache(maxsize=None)
-def _chorded_cycle_free(n: int) -> tuple[Graph, ...]:
-    """All graphs on n vertices in which no cycle has a chord, canonical and sorted.
+def _chorded_cycle_free(n: int) -> Level:
+    """All graphs on n vertices in which no cycle has a chord.
 
     Connected or not: deleting a vertex may disconnect a graph.  A new vertex
     of degree 0 or 1 lies on no cycle, so only joins to 2 vertices are tested.
     """
     if n == 1:
-        return (Graph(1, (0,)),)
-    joins = [0, *(1 << v for v in range(n - 1))]
-    forms: set[CanonicalForm] = set()
-    for g in _chorded_cycle_free(n - 1):
-        forms.update(canonical_form(_join_new_vertex(g, nbrs)) for nbrs in joins)
-        for nbrs in _k_sets(n - 1, 2):
-            h = _join_new_vertex(g, nbrs)
-            if not connectivity.has_chorded_cycle(h):
-                forms.add(canonical_form(h))
-    return tuple(f.graph() for f in sorted(forms))
+        return _K1
+    joins = (0, *(1 << v for v in range(n - 1)), *_k_sets(n - 1, 2))
+    grown = (h for g, autos in _chorded_cycle_free(n - 1)
+             for h in (_join_new_vertex(g, s) for s in _orbit_reps(joins, autos))
+             if h.degree(n - 1) < 2 or not connectivity.has_chorded_cycle(h))
+    return _level(grown)
 
 
 @lru_cache(maxsize=None)
-def _grow(n: int, flt: ClassFilter) -> tuple[Graph, ...]:
+def _grow(n: int, flt: ClassFilter) -> Level:
     """The class on n vertices: a base level on n-1 vertices plus a vertex of degree k."""
     if flt.kind == ALL_CONNECTED:
         return _connected(n, pair_count(n))
@@ -212,17 +243,16 @@ def _grow(n: int, flt: ClassFilter) -> tuple[Graph, ...]:
     base = (_chorded_cycle_free(n - 1) if flt == MIN_2EC
             else _connected(n - 1, edge_bound(n, flt) - k))
     members = []
-    for g in base:  # the new vertex must lift every base degree below k
+    for g, autos in base:  # the new vertex must lift every base degree below k
         low = sum(1 << v for v, d in enumerate(g.degrees()) if d < k)
-        joins = (_join_new_vertex(g, s) for s in _k_sets(n - 1, k) if s & low == low)
-        members += filter(flt.passes, joins)
-    return tuple(dedup_by_isomorphism(members))
+        sets = _orbit_reps((s for s in _k_sets(n - 1, k) if s & low == low), autos)
+        members += filter(flt.passes, (_join_new_vertex(g, s) for s in sets))
+    return _level(members)
 
 
 def dedup_by_isomorphism(graphs) -> list[Graph]:
     """One canonical representative per isomorphism class, sorted."""
-    forms: set[CanonicalForm] = {canonical_form(g) for g in graphs}
-    return [f.graph() for f in sorted(forms)]
+    return [g for g, _ in _level(graphs)]
 
 
 def ingest_class(graphs, n: int, flt: ClassFilter) -> list[Graph]:

@@ -186,8 +186,8 @@ def test_twin_heavy_graphs():
 
 
 @st.composite
-def graphs_up_to_12(draw, min_n=1):
-    n = draw(st.integers(min_n, 12))
+def graphs_up_to(draw, max_n, min_n=1):
+    n = draw(st.integers(min_n, max_n))
     p = draw(st.sampled_from((0.2, 0.35, 0.5, 0.65, 0.8)))
     rng = draw(st.randoms(use_true_random=False))
     return Graph.from_edge_list(n, [e for e in pair_list(n) if rng.random() < p])
@@ -203,7 +203,7 @@ def to_nx(g: Graph) -> nx.Graph:
 
 @st.composite
 def relabelled_pairs(draw):
-    g = draw(graphs_up_to_12())
+    g = draw(graphs_up_to(12))
     return g, perm_apply(g, draw(st.permutations(range(g.n))))
 
 
@@ -219,7 +219,7 @@ def test_form_invariant_under_relabelling(pair):
 @st.composite
 def degree_equivalent_pairs(draw):
     """A graph and a relabelled copy after a few degree-preserving edge swaps."""
-    g = draw(graphs_up_to_12(min_n=5))  # smaller graphs admit few swaps
+    g = draw(graphs_up_to(12, min_n=5))  # smaller graphs admit few swaps
     h = g
     for _ in range(draw(st.integers(1, 4))):
         # ab, cd -> ad, cb keeps every degree
@@ -246,3 +246,48 @@ def test_forms_separate_exactly_the_non_isomorphic_pairs(pair):
     g, h = pair
     assert sorted(g.degrees()) == sorted(h.degrees())
     assert (canonical_form(g) == canonical_form(h)) == nx.is_isomorphic(to_nx(g), to_nx(h))
+
+
+def group_order(n: int, generators) -> int:
+    """Size of the permutation group the generators generate, by closure."""
+    identity = tuple(range(n))
+    seen, queue = {identity}, [identity]
+    for p in queue:
+        for gamma in generators:
+            q = tuple(gamma[v] for v in p)
+            if q not in seen:
+                seen.add(q)
+                queue.append(q)
+    return len(seen)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(graphs_up_to(10))
+@example(make_complete_bipartite(2, 8))
+@example(make_complete_bipartite(5, 5))
+@example(make_complete(10))
+@example(make_wheel(10))
+@example(make_friendship(4))
+@example(petersen())
+@example(Graph.from_edge_list(9, []))
+def test_generators_are_automorphisms_of_the_canonical_graph(g):
+    form = canonical_form(g)
+    canon = form.graph()
+    for gamma in form.automorphisms:
+        assert sorted(gamma) == list(range(g.n))
+        assert perm_apply(canon, gamma) == canon
+
+
+def test_generators_generate_the_whole_group_on_the_atlas():
+    for nxg in nx.graph_atlas_g()[1:]:
+        n = nxg.number_of_nodes()
+        form = canonical_form(Graph.from_edge_list(n, nxg.edges()))
+        want = sum(1 for _ in nx.vf2pp_all_isomorphisms(nxg, nxg))
+        assert group_order(n, form.automorphisms) == want, list(nxg.edges())
+
+
+def test_generators_take_no_part_in_identity():
+    form = canonical_form(make_wheel(6))
+    assert form.automorphisms
+    bare = CanonicalForm(form.n, form.bits)
+    assert bare == form and hash(bare) == hash(form) and not bare < form

@@ -95,7 +95,7 @@ def test_report_serialization_shapes():
     assert rows[0]["ties_within_tolerance"] == "0"
 
 
-def test_run_search_basic_report():
+def test_verify_theorem_basic_report():
     reports = verify.verify_theorem("thm11-odd", 7, (0.6,))
     assert len(reports) == 1
     rep = reports[0]
@@ -110,7 +110,7 @@ def test_run_search_basic_report():
     assert verify.exit_code(reports) == 0
 
 
-def test_run_search_deterministic_output():
+def test_verify_theorem_deterministic_output():
     a = verify.verify_theorem("thm11-odd", 7, (0.5, 0.7))
     b = verify.verify_theorem("thm11-odd", 7, (0.5, 0.7))
     assert strip_runtime([r.to_dict() for r in a]) == strip_runtime([r.to_dict() for r in b])
@@ -144,7 +144,7 @@ def test_builtin_reports_name_the_generation_facts(target):
     assert csv_rows[0]["pruning"] == ";".join(generation_notes(7, flt))
 
 
-def test_run_search_ingested_source():
+def test_verify_theorem_ingested_source():
     members = verify.enumerate_class(7, ClassFilter("min-edge", 2))
     reports = verify.verify_theorem("thm11-odd", 7, (0.5,), source_graphs=members)
     assert reports[0].source == "graph6-ingest"
