@@ -2,7 +2,7 @@
 
 Subcommands: rho, bounds, classify, enumerate, verify (a theorem of
 verify.THEOREMS, or lemmas), certify-colsums.  Exit codes: 0 verified, 2
-verified but with numerical ties, 1 violation found, 64 usage or input error
+verified but tied or uncertified, 1 violation found, 64 usage or input error
 (including files that cannot be read or written).
 
 Graph arguments accept, in order of precedence: a path to an existing file
@@ -112,18 +112,20 @@ def _class_graphs(flt: ClassFilter, args) -> list[Graph]:
     return enumerate_class(args.n, flt)
 
 
-def _write_reports(reports, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(verify.reports_to_json(reports))
-        return
+def _report_format(out: str | None):
+    if out is None or out.endswith(".json"):
+        return verify.reports_to_json
     if out.endswith(".csv"):
-        payload = verify.reports_to_csv(reports)
-    elif out.endswith(".json"):
-        payload = verify.reports_to_json(reports)
+        return verify.reports_to_csv
+    raise UsageError(f"report path must end in .json or .csv, got {out!r}")
+
+
+def _write_text(text: str, out: str | None) -> None:
+    if out:
+        with open(out, "w", encoding="ascii") as fh:
+            fh.write(text)
     else:
-        raise UsageError(f"report path must end in .json or .csv, got {out!r}")
-    with open(out, "w", encoding="ascii") as fh:
-        fh.write(payload)
+        sys.stdout.write(text)
 
 
 def _bounds_text(g: Graph, alpha: float) -> str:
@@ -164,12 +166,7 @@ def _cmd_enumerate(args) -> int:
     members = _class_graphs(flt, args)
     if args.infile and not members:
         raise UsageError(f"no {flt.describe()} graph on {args.n} vertices in {args.infile}")
-    lines = write_graph6_lines(members)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(lines)
-    else:
-        sys.stdout.write(lines)
+    _write_text(write_graph6_lines(members), args.out)
     print(f"{flt.describe()} n={args.n}: {len(members)} graphs", file=sys.stderr)
     return 0
 
@@ -189,19 +186,14 @@ def _cmd_verify(args) -> int:
     alphas = _parse_alphas(args.alphas)
     source = _read_class_file(args.infile) if args.infile else None
     tol = DEFAULT_TOL if args.tol is None else args.tol
+    serialize = _report_format(args.out)  # a bad suffix fails before the campaign
     reports = verify.verify_theorem(
         args.target, args.n, alphas, source_graphs=source, tol=tol)
-    _write_reports(reports, args.out)
+    _write_text(serialize(reports), args.out)
     for r in reports:
-        if r.violation:
-            verdict = "VIOLATION"
-        elif r.ties_within_tolerance:
-            verdict = f"tie x{r.ties_within_tolerance}"
-        else:
-            verdict = "ok" if r.certified_unique else "uncertified"
         print(
             f"{r.class_name} n={r.n} alpha={r.alpha!r}: size={r.class_size} "
-            f"max={r.max_value:.9g} argmax={r.argmax_canonical} {verdict}",
+            f"max={r.max_value:.9g} argmax={r.argmax_canonical} {r.verdict}",
             file=sys.stderr,
         )
     return verify.exit_code(reports)

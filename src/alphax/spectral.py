@@ -214,9 +214,12 @@ def bound_upper_edge(g: Graph, alpha: float) -> float:
 
 
 def bound_lower_delta(g: Graph, alpha: float) -> float:
-    """Lower bound from the maximum degree, with a branch at alpha = 1/2."""
+    """Lower bound from the maximum degree, with a branch at alpha = 1/2.  Both
+    branches rest on a star K_{1,Delta}; with no edge A_alpha = 0, and so is the bound."""
     a = validate_alpha(alpha)
     big_delta = g.max_degree()
+    if big_delta == 0:
+        return 0.0
     if a <= 0.5:
         return a * (big_delta + 1)
     return a * big_delta + (1.0 - a) ** 2 / a

@@ -9,9 +9,9 @@ A maximizer is certified unique when the lower end of its enclosure lies
 above the upper end of every other member's enclosure.
 
 Report serialization is deterministic: members are already in canonical
-order, floats are rounded to 9 significant digits, and keys have a fixed
-order.  The runtime_ms field is the one exception, it obviously varies run
-to run.
+order, floats are rounded to 9 significant digits, and the keys are tool and
+version followed by SearchReport's fields in declaration order.  The
+runtime_ms field is the one exception, it obviously varies run to run.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 from . import __version__, families
@@ -37,6 +37,9 @@ TOOL_NAME = "alphax"
 TOOL_VERSION = __version__
 TIE_TOL = 1e-8
 VALUE_TOL = 1e-8
+REPORT_HEADER = {"tool": TOOL_NAME, "version": TOOL_VERSION}
+RENAMED_KEYS = {"class_name": "class"}
+ROUNDED_KEYS = ("max_value", "expected_value", "runner_up_value", "spectral_gap")
 
 
 class UsageError(ValueError):
@@ -75,38 +78,29 @@ class SearchReport:
         return (not self.argmax_matches_expected
                 or abs(self.max_value - self.expected_value) > VALUE_TOL)
 
+    @property
+    def verdict(self) -> str:
+        """VIOLATION, tie xN (N other members within TIE_TOL of the maximum),
+        uncertified (enclosures do not separate the maximizer), or ok."""
+        if self.violation:
+            return "VIOLATION"
+        if self.ties_within_tolerance:
+            return f"tie x{self.ties_within_tolerance}"
+        return "ok" if self.certified_unique else "uncertified"
+
     def to_dict(self) -> dict:
-        return {
-            "tool": TOOL_NAME,
-            "version": TOOL_VERSION,
-            "class": self.class_name,
-            "k": self.k,
-            "n": self.n,
-            "alpha": self.alpha,
-            "alpha_grid": list(self.alpha_grid),
-            "class_size": self.class_size,
-            "max_value": _round9(self.max_value),
-            "argmax_canonical": self.argmax_canonical,
-            "argmax_matches_expected": self.argmax_matches_expected,
-            "expected_canonical": self.expected_canonical,
-            "expected_value": _round9(self.expected_value),
-            "runner_up_value": _round9(self.runner_up_value),
-            "spectral_gap": _round9(self.spectral_gap),
-            "ties_within_tolerance": self.ties_within_tolerance,
-            "pruning": list(self.pruning),
-            "source": self.source,
-            "certified_unique": self.certified_unique,
-            "runtime_ms": self.runtime_ms,
-        }
+        row = dict(REPORT_HEADER)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in ROUNDED_KEYS:
+                value = _round9(value)
+            row[RENAMED_KEYS.get(f.name, f.name)] = (
+                list(value) if isinstance(value, tuple) else value)
+        return row
 
 
-CSV_COLUMNS = [
-    "tool", "version", "class", "k", "n", "alpha", "alpha_grid", "class_size",
-    "max_value", "argmax_canonical", "argmax_matches_expected",
-    "expected_canonical", "expected_value", "runner_up_value", "spectral_gap",
-    "ties_within_tolerance", "pruning", "source", "certified_unique",
-    "runtime_ms",
-]
+CSV_COLUMNS = [*REPORT_HEADER,
+               *(RENAMED_KEYS.get(f.name, f.name) for f in fields(SearchReport))]
 
 
 def reports_to_json(reports) -> str:
@@ -119,11 +113,11 @@ def reports_to_csv(reports) -> str:
     writer.writeheader()
     for r in reports:
         row = r.to_dict()
-        row["alpha_grid"] = ";".join(repr(a) for a in row["alpha_grid"])
-        row["pruning"] = ";".join(row["pruning"])
-        for key in ("max_value", "expected_value", "runner_up_value", "spectral_gap"):
-            if row[key] is not None:
-                row[key] = f"{row[key]:.9g}"
+        for key, value in row.items():
+            if isinstance(value, list):
+                row[key] = ";".join(map(str, value))
+            elif key in ROUNDED_KEYS and value is not None:
+                row[key] = f"{value:.9g}"
         writer.writerow(row)
     return buf.getvalue()
 
@@ -134,13 +128,11 @@ def certified_unique(lower, upper, winner: int) -> bool:
 
 
 def exit_code(reports) -> int:
-    """0 verified, 2 verified with numerical ties or an uncertified maximizer,
-    1 violation."""
-    if any(r.violation for r in reports):
+    """1 if any verdict is VIOLATION, 0 if every verdict is ok, 2 otherwise."""
+    verdicts = {r.verdict for r in reports}
+    if "VIOLATION" in verdicts:
         return 1
-    if any(r.ties_within_tolerance > 0 or not r.certified_unique for r in reports):
-        return 2
-    return 0
+    return 0 if verdicts <= {"ok"} else 2
 
 
 @dataclass(frozen=True)

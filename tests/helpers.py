@@ -1,6 +1,6 @@
-"""Shared brute-force oracles and samplers for the test suite.
+"""Shared brute-force oracles, samplers and report rows for the test suite.
 
-Everything here is deliberately naive: permutation isomorphism, subset
+The oracles are deliberately naive: permutation isomorphism, subset
 deletion connectivity, dense eigensolves.  The point is independence from
 the library's own algorithms.
 """
@@ -10,6 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from alphax import verify
 from alphax.graph import Graph, pair_count, pair_list
 from alphax.spectral import build_alpha_matrix
 
@@ -86,3 +87,29 @@ def random_connected_graph(rng, n: int, p: float = 0.5) -> Graph:
         g = random_graph(rng, n, p)
         if g.is_connected():
             return g
+
+
+def make_report(**overrides):
+    """A verified thm11-odd row at n=7, alpha=1/2, with fields overridden."""
+    base = dict(
+        class_name="min-2-edge-connected",
+        k=2,
+        n=7,
+        alpha=0.5,
+        alpha_grid=(0.5,),
+        class_size=11,
+        max_value=3.686140661634507,
+        argmax_canonical="F?qb?",
+        argmax_matches_expected=True,
+        expected_canonical="F?qb?",
+        expected_value=3.686140661634507,
+        runner_up_value=3.5,
+        spectral_gap=0.18,
+        ties_within_tolerance=0,
+        pruning=("minimum degree is exactly 2",),
+        source="builtin",
+        certified_unique=True,
+        runtime_ms=12,
+    )
+    base.update(overrides)
+    return verify.SearchReport(**base)

@@ -6,10 +6,13 @@ from pathlib import Path
 
 import pytest
 
+from alphax import verify
 from alphax.cli import main
 from alphax.graph6 import parse_graph6_lines, write_graph6
 from alphax.families import make_cycle, make_wheel
 from alphax.graph import format_edge_list
+
+from helpers import make_report
 
 CLASS_FILE_N8 = Path(__file__).resolve().parent.parent / "data" / "min2ec_n8.g6"
 
@@ -99,6 +102,40 @@ def test_verify_csv_output(tmp_path, capsys):
     lines = out_file.read_text().splitlines()
     assert lines[0].startswith("tool,version,class")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize(
+    "overrides,word,code",
+    [
+        ({}, "ok", 0),
+        ({"ties_within_tolerance": 1}, "tie x1", 2),
+        ({"certified_unique": False}, "uncertified", 2),
+        ({"argmax_matches_expected": False}, "VIOLATION", 1),
+    ],
+    ids=["ok", "tie", "uncertified", "violation"],
+)
+def test_verify_prints_the_verdict_and_exits_by_it(monkeypatch, capsys, overrides, word, code):
+    monkeypatch.setattr(verify, "verify_theorem",
+                        lambda *args, **kwargs: [make_report(**overrides)])
+    got, out, err = run(capsys, "verify", "thm11-odd", "--n", "7")
+    assert got == code
+    assert err == ("min-2-edge-connected n=7 alpha=0.5: size=11 max=3.68614066 "
+                   f"argmax=F?qb? {word}\n")
+    assert json.loads(out)[0]["runtime_ms"] == 12
+
+
+def test_verify_rejects_a_report_suffix_before_the_campaign(monkeypatch, tmp_path, capsys):
+    def campaign(*args, **kwargs):
+        raise AssertionError("the campaign ran")
+
+    monkeypatch.setattr(verify, "verify_theorem", campaign)
+    out_file = str(tmp_path / "r.txt")
+    code, out, err = run(capsys, "verify", "thm11-even", "--n", "10", "--alphas", "0.5",
+                         "--out", out_file)
+    assert code == 64
+    assert out == ""
+    assert err == f"alphax: error: report path must end in .json or .csv, got {out_file!r}\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_verify_lemmas(capsys):

@@ -243,6 +243,15 @@ def test_sandwich_on_samples():
             assert rho <= upper + 1e-8
 
 
+@pytest.mark.parametrize("n", [1, 4], ids=["K1", "4K1"])
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.9, 1.0])
+def test_sandwich_on_edgeless_graphs(n, alpha):
+    # A_alpha is the zero matrix: the lower bound must not exceed rho = 0
+    g = Graph.from_edge_list(n, [])
+    assert spectral_radius(g, alpha).radius == 0.0
+    assert bound_lower_delta(g, alpha) == 0.0
+
+
 def test_degree_bound_tight_only_on_regular():
     for n in (3, 4, 5):
         for g in connected_class_reps(n):

@@ -11,41 +11,21 @@ from alphax.enumeration import ClassFilter, generation_notes
 from alphax.families import make_friendship, rho_friendship
 from alphax.graph6 import parse_graph6_lines, write_graph6
 
+from helpers import make_report
+
 ROOT = Path(__file__).resolve().parent.parent
 # verify thm11-even --n 8 --in data/min2ec_n8.g6 over this grid, written by
 # the power-iteration solver that preceded the batched eigh solve
 GOLDEN_REPORT = ROOT / "tests" / "data" / "thm11_even_n8.json"
+# the same run written with --out as CSV, by the code that listed the report
+# keys by hand before they were derived from SearchReport's fields
+GOLDEN_CSV = ROOT / "tests" / "data" / "thm11_even_n8.csv"
 GOLDEN_ALPHAS = (0.5, 0.53, 0.56, 0.59, 0.62, 0.65, 0.68, 0.71,
                  0.74, 0.77, 0.8, 0.83, 0.86, 0.89, 0.92, 0.95)
 
 
 def strip_runtime(report_dicts):
     return [{k: v for k, v in d.items() if k != "runtime_ms"} for d in report_dicts]
-
-
-def make_report(**overrides):
-    base = dict(
-        class_name="min-2-edge-connected",
-        k=2,
-        n=7,
-        alpha=0.5,
-        alpha_grid=(0.5,),
-        class_size=11,
-        max_value=3.686140661634507,
-        argmax_canonical="F?qb?",
-        argmax_matches_expected=True,
-        expected_canonical="F?qb?",
-        expected_value=3.686140661634507,
-        runner_up_value=3.5,
-        spectral_gap=0.18,
-        ties_within_tolerance=0,
-        pruning=("minimum degree is exactly 2",),
-        source="builtin",
-        certified_unique=True,
-        runtime_ms=12,
-    )
-    base.update(overrides)
-    return verify.SearchReport(**base)
 
 
 def test_exit_codes():
@@ -79,11 +59,22 @@ def test_certified_unique_single_member():
     assert verify.certified_unique([2.0], [2.0], 0) is True
 
 
+# tool and version, then SearchReport's fields in order, class_name as class
+REPORT_KEYS = [
+    "tool", "version", "class", "k", "n", "alpha", "alpha_grid", "class_size",
+    "max_value", "argmax_canonical", "argmax_matches_expected",
+    "expected_canonical", "expected_value", "runner_up_value", "spectral_gap",
+    "ties_within_tolerance", "pruning", "source", "certified_unique",
+    "runtime_ms",
+]
+
+
 def test_report_serialization_shapes():
     rep = make_report()
     d = rep.to_dict()
-    assert list(d.keys()) == verify.CSV_COLUMNS
+    assert list(d.keys()) == verify.CSV_COLUMNS == REPORT_KEYS
     assert d["tool"] == "alphax"
+    assert d["alpha_grid"] == [0.5] and d["pruning"] == ["minimum degree is exactly 2"]
     # floats carry at most 9 significant digits
     assert d["max_value"] == float(f"{rep.max_value:.9g}")
     text = verify.reports_to_json([rep])
@@ -93,6 +84,12 @@ def test_report_serialization_shapes():
     assert len(rows) == 1
     assert rows[0]["alpha_grid"] == "0.5"
     assert rows[0]["ties_within_tolerance"] == "0"
+    assert rows[0]["max_value"] == "3.68614066"
+
+    single = make_report(runner_up_value=None, spectral_gap=None)
+    assert single.to_dict()["spectral_gap"] is None
+    row = next(csv.DictReader(io.StringIO(verify.reports_to_csv([single]))))
+    assert row["runner_up_value"] == row["spectral_gap"] == ""
 
 
 def test_verify_theorem_basic_report():
@@ -119,17 +116,29 @@ def test_verify_theorem_deterministic_output():
     assert ja == jb
 
 
-def test_golden_report_reproduced_byte_for_byte():
+@pytest.fixture(scope="module")
+def golden_reports():
     members = parse_graph6_lines((ROOT / "data" / "min2ec_n8.g6").read_text())
-    reports = verify.verify_theorem("thm11-even", 8, GOLDEN_ALPHAS, source_graphs=members)
-    assert all(r.certified_unique for r in reports)
+    return verify.verify_theorem("thm11-even", 8, GOLDEN_ALPHAS, source_graphs=members)
+
+
+def test_golden_report_reproduced_byte_for_byte(golden_reports):
+    assert all(r.certified_unique for r in golden_reports)
     rows = [
         {k: v for k, v in r.to_dict().items() if k != "certified_unique"}
-        for r in reports
+        for r in golden_reports
     ]
     zero = lambda text: re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', text)
     got = zero(json.dumps(rows, indent=2) + "\n")
     assert got == zero(GOLDEN_REPORT.read_text())
+
+
+def test_golden_csv_reproduced_byte_for_byte(golden_reports):
+    # runtime_ms is the last column: blank it on every data row
+    blank = lambda text: re.sub(r",\d+$", ",", text, flags=re.M)
+    got = verify.reports_to_csv(golden_reports)
+    assert got.count("\n") == 1 + len(GOLDEN_ALPHAS)
+    assert blank(got) == blank(GOLDEN_CSV.read_text())
 
 
 @pytest.mark.parametrize("target", ["thm11-odd", "thm12"])
