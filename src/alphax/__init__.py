@@ -8,12 +8,10 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"  # the one version source: pyproject and reports read it
 
-from .canonical import CanonicalForm, CapabilityError, are_isomorphic, canonical_form
+from .canonical import CanonicalForm, CapabilityError, canonical_form
 from .connectivity import (
     ClassMembership,
-    bridges,
     classify,
-    cut_vertices,
     edge_connectivity,
     has_chorded_cycle,
     is_k_connected,
@@ -24,8 +22,6 @@ from .connectivity import (
 )
 from .enumeration import ClassFilter, dedup_by_isomorphism, enumerate_class, ingest_class
 from .families import (
-    disjoint_union,
-    join,
     make_complete,
     make_complete_bipartite,
     make_cycle,
@@ -37,14 +33,7 @@ from .families import (
     rho_friendship,
     rho_join_regular,
 )
-from .graph import (
-    Graph,
-    all_cycles,
-    avg_neighbor_degree,
-    format_edge_list,
-    neighbor_degree_sum,
-    parse_edge_list,
-)
+from .graph import Graph, all_cycles, neighbor_degree_sum, parse_edge_list
 from .graph6 import Graph6Error, parse_graph6, parse_graph6_lines, write_graph6
 from .spectral import (
     ConvergenceError,
@@ -53,7 +42,6 @@ from .spectral import (
     bound_lower_delta,
     bound_upper_degree,
     bound_upper_edge,
-    build_alpha_matrix,
     column_sum_certificate,
     spectral_radius,
 )

@@ -226,12 +226,3 @@ def canonical_form(g: Graph) -> CanonicalForm:
     label = sorted(range(n), key=best_order.__getitem__)  # best_order[label[v]] == v
     gens = tuple(tuple(label[gm[v]] for v in best_order) for gm in autos)
     return CanonicalForm(n, packed, gens)
-
-
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    """Exact isomorphism test; a size mismatch is just a negative answer."""
-    if g.n != h.n or g.m != h.m:
-        return False
-    if sorted(g.degrees()) != sorted(h.degrees()):
-        return False
-    return canonical_form(g) == canonical_form(h)

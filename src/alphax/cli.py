@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 
@@ -23,7 +22,6 @@ from .enumeration import ClassFilter, enumerate_class, ingest_class
 from .graph import Graph, parse_edge_list
 from .graph6 import Graph6Error, parse_graph6, parse_graph6_lines, write_graph6_lines
 from .spectral import (
-    DEFAULT_TOL,
     ConvergenceError,
     bound_lower_delta,
     bound_upper_degree,
@@ -83,17 +81,6 @@ def _parse_alphas(text: str | None) -> list[float]:
     return alphas
 
 
-def _tolerance(text: str) -> float:
-    """--tol: NaN would switch the residual check off, a negative value fails it."""
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not tol >= 0.0:
-        raise argparse.ArgumentTypeError(f"tolerance must be a number >= 0, got {text!r}")
-    return tol
-
-
 def _reject_options(args, mode: str, flags: dict[str, str]) -> None:
     """Usage error for options given to a mode that does not read them."""
     if given := [flag for dest, flag in flags.items() if getattr(args, dest) is not None]:
@@ -139,7 +126,7 @@ def _bounds_text(g: Graph, alpha: float) -> str:
 def _cmd_rho(args) -> int:
     g = load_graph(args.graph)
     for alpha in _parse_alphas(args.alphas):
-        res = spectral_radius(g, alpha, tol=DEFAULT_TOL if args.tol is None else args.tol)
+        res = spectral_radius(g, alpha)
         print(f"alpha={alpha!r} rho={res.radius:.12g} residual={res.residual:.3e} "
               f"enclosure=[{res.lower:.17g}, {res.upper:.17g}]")
         print(f"  {_bounds_text(g, alpha)}")
@@ -174,7 +161,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_verify(args) -> int:
     if args.target == "lemmas":
         _reject_options(args, "verify lemmas", {
-            "infile": "--in", "out": "--out", "alphas": "--alphas", "tol": "--tol"})
+            "infile": "--in", "out": "--out", "alphas": "--alphas"})
         checks = verify.verify_lemma_suite(
             verify.MAX_LEMMA_N if args.n is None else args.n)
         for c in checks:
@@ -185,10 +172,8 @@ def _cmd_verify(args) -> int:
         raise UsageError("--n is required for theorem checks")
     alphas = _parse_alphas(args.alphas)
     source = _read_class_file(args.infile) if args.infile else None
-    tol = DEFAULT_TOL if args.tol is None else args.tol
     serialize = _report_format(args.out)  # a bad suffix fails before the campaign
-    reports = verify.verify_theorem(
-        args.target, args.n, alphas, source_graphs=source, tol=tol)
+    reports = verify.verify_theorem(args.target, args.n, alphas, source_graphs=source)
     _write_text(serialize(reports), args.out)
     for r in reports:
         print(
@@ -234,21 +219,17 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="alphax", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # no defaults here: verify lemmas rejects these options when given
-    def add_spectral(p, tol=True):
+    def add_alphas(p):
         p.add_argument("--alphas", help=f"comma-separated alpha values (default {DEFAULT_ALPHAS})")
-        if tol:
-            p.add_argument("--tol", type=_tolerance,
-                           help=f"largest accepted eigenpair residual (default {DEFAULT_TOL:g})")
 
     p_rho = sub.add_parser("rho", help="alpha-index with residual and bounds")
     p_rho.add_argument("graph")
-    add_spectral(p_rho)
+    add_alphas(p_rho)
     p_rho.set_defaults(func=_cmd_rho)
 
     p_bounds = sub.add_parser("bounds", help="closed-form bounds only")
     p_bounds.add_argument("graph")
-    add_spectral(p_bounds, tol=False)
+    add_alphas(p_bounds)
     p_bounds.set_defaults(func=_cmd_bounds)
 
     p_cls = sub.add_parser("classify", help="connectivity class membership")
@@ -269,7 +250,7 @@ def build_parser() -> _Parser:
     p_ver.add_argument("target",
                        choices=[*verify.THEOREMS, "lemmas"])
     p_ver.add_argument("--n", type=int)
-    add_spectral(p_ver)
+    add_alphas(p_ver)
     p_ver.add_argument("--in", dest="infile", help="graph6 class file to ingest")
     p_ver.add_argument("--out", help="report path (.json or .csv)")
     p_ver.set_defaults(func=_cmd_verify)
@@ -280,7 +261,7 @@ def build_parser() -> _Parser:
     p_cert.add_argument("--class", dest="cls")
     p_cert.add_argument("--n", type=int)
     p_cert.add_argument("--in", dest="infile", help="graph6 class file to ingest")
-    add_spectral(p_cert, tol=False)
+    add_alphas(p_cert)
     p_cert.add_argument("--max-degree", type=int, default=None,
                         help="only check graphs with max degree at most this")
     p_cert.set_defaults(func=_cmd_certify_colsums)

@@ -13,7 +13,7 @@ deleting any single edge destroys that property.  By Menger's theorem an edge
 uv of a k-(edge-)connected graph can be deleted without losing the property
 exactly when G - uv still has k edge-disjoint (internally vertex-disjoint)
 u-v paths, so each edge costs one flow capped at k instead of a full re-check.
-The same local test finds bridges (k=1) and chords of cycles (k=2).
+The same local test finds chords of cycles (k=2).
 """
 
 from __future__ import annotations
@@ -118,14 +118,6 @@ def _paths_survive_deletion(adj, u: int, v: int, k: int, split: list[int] | None
     return _flow.vertex_disjoint_paths(rows, u, v, limit=k, split=split) >= k
 
 
-def bridges(g: Graph) -> list[tuple[int, int]]:
-    """Edges whose deletion disconnects their endpoints."""
-    adj = g.adjacency_rows()
-    return [
-        (u, v) for u, v in g.edges() if not _paths_survive_deletion(adj, u, v, 1, None)
-    ]
-
-
 def has_chorded_cycle(g: Graph) -> bool:
     """True iff some cycle of g has a chord.
 
@@ -135,21 +127,6 @@ def has_chorded_cycle(g: Graph) -> bool:
     adj = g.adjacency_rows()
     split = _flow.vertex_split(adj)
     return any(_paths_survive_deletion(adj, x, y, 2, split) for x, y in g.edges())
-
-
-def cut_vertices(g: Graph) -> list[int]:
-    """Vertices whose deletion increases the number of components."""
-    _require_multi_vertex(g)
-    base = len(g.component_masks())
-    out = []
-    full = (1 << g.n) - 1
-    for v in range(g.n):
-        rest = full & ~(1 << v)
-        if rest.bit_count() >= 1:
-            sub = g.induced_subgraph(rest)
-            if len(sub.component_masks()) > base:
-                out.append(v)
-    return out
 
 
 def is_minimally_k_edge_connected(g: Graph, k: int) -> bool:

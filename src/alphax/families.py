@@ -1,4 +1,4 @@
-"""Named graph families, join/union constructions, and closed-form alpha-indices.
+"""Named graph families and their closed-form alpha-indices.
 
 Vertex numbering is frozen so canonical comparisons and reports are stable:
 
@@ -6,7 +6,6 @@ Vertex numbering is frozen so canonical comparisons and reports are stable:
 * complete bipartite K_{a,b}: side A is 0..a-1, side B is a..a+b-1
 * wheel W_n: hub 0, rim 1..n-1 in cycle order
 * friendship F_k: hub 0, triangle i on vertices (2i+1, 2i+2)
-* join: all vertices of the first argument before the second
 
 FamilySpec strings name a family by a letter and its parameters, case
 insensitive: "P5", "C7", "K6", "K2,6", "W7", "F3".
@@ -64,20 +63,6 @@ def make_friendship(k: int) -> Graph:
         a, b = 2 * i + 1, 2 * i + 2
         edges += [(0, a), (0, b), (a, b)]
     return Graph.from_edge_list(2 * k + 1, edges)
-
-
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    n = g1.n + g2.n
-    edges = g1.edges() + [(u + g1.n, v + g1.n) for u, v in g2.edges()]
-    return Graph.from_edge_list(n, edges)
-
-
-def join(g1: Graph, g2: Graph) -> Graph:
-    """Disjoint union plus every edge between the two parts."""
-    base = disjoint_union(g1, g2)
-    edges = base.edges()
-    edges += [(u, g1.n + v) for u in range(g1.n) for v in range(g2.n)]
-    return Graph.from_edge_list(base.n, edges)
 
 
 FAMILY_RE = re.compile(r"^\s*([PCKWF])\s*(\d+)\s*(?:,\s*(\d+))?\s*$", re.IGNORECASE)

@@ -36,13 +36,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def pair_index(i: int, j: int) -> int:
-    """Rank of the vertex pair i<j in column order: (0,1),(0,2),(1,2),(0,3),..."""
-    if i > j:
-        i, j = j, i
-    return j * (j - 1) // 2 + i
-
-
 def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
@@ -90,9 +83,6 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
-    def __reduce__(self):
-        return (_rebuild, (self.n, self._adj))
-
     # -- construction ------------------------------------------------------
 
     @classmethod
@@ -117,12 +107,6 @@ class Graph:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
         return cls(n, tuple(adj))
-
-    def edge_mask(self) -> int:
-        mask = 0
-        for i, j in self.edges():
-            mask |= 1 << pair_index(i, j)
-        return mask
 
     # -- basic queries -----------------------------------------------------
 
@@ -161,10 +145,6 @@ class Graph:
                 out.append((u, u + 1 + v))
         return out
 
-    def is_regular(self) -> bool:
-        degs = self.degrees()
-        return min(degs) == max(degs)
-
     # -- edge surgery ------------------------------------------------------
 
     def add_edge(self, u: int, v: int) -> "Graph":
@@ -200,27 +180,6 @@ class Graph:
                 adj[relabel[v]] |= 1 << relabel[w]
         return Graph(len(kept), tuple(adj))
 
-    def switch_edges(self, u: int, v: int, nset: Iterable[int] | int) -> "Graph":
-        """Move the edges from v to a set N of its neighbours over to u.
-
-        N must be a non-empty subset of N(v) avoiding u and all of u's
-        neighbours, so the result is again simple with the same edge count.
-        """
-        nm = mask_of(nset)
-        if nm == 0:
-            raise ValueError("switch set must be non-empty")
-        if nm & ~self._adj[v]:
-            raise ValueError("switch set must be a subset of N(v)")
-        if nm & self.closed_neighbors_mask(u):
-            raise ValueError("switch set must avoid u and its neighbourhood")
-        adj = list(self._adj)
-        for w in bits(nm):
-            adj[v] &= ~(1 << w)
-            adj[w] &= ~(1 << v)
-            adj[u] |= 1 << w
-            adj[w] |= 1 << u
-        return Graph(self.n, tuple(adj))
-
     # -- connectivity-free structure --------------------------------------
 
     def component_masks(self) -> list[int]:
@@ -253,21 +212,9 @@ class Graph:
         return a
 
 
-def _rebuild(n: int, adj: tuple[int, ...]) -> Graph:
-    return Graph(n, adj)
-
-
 def neighbor_degree_sum(g: Graph, u: int) -> int:
     """Sum of deg(v) over neighbours v of u (0 for an isolated vertex)."""
     return sum(g.degree(v) for v in bits(g.neighbors_mask(u)))
-
-
-def avg_neighbor_degree(g: Graph, u: int) -> float:
-    """Average neighbour degree m(u); undefined for isolated vertices."""
-    d = g.degree(u)
-    if d == 0:
-        raise ValueError(f"average neighbour degree undefined for isolated vertex {u}")
-    return neighbor_degree_sum(g, u) / d
 
 
 def all_cycles(g: Graph) -> list[tuple[int, ...]]:
@@ -297,20 +244,6 @@ def all_cycles(g: Graph) -> list[tuple[int, ...]]:
     return out
 
 
-def chords_of_cycle(g: Graph, cycle: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Edges of g joining two non-consecutive vertices of the given cycle."""
-    k = len(cycle)
-    on_cycle = {(cycle[i], cycle[(i + 1) % k]) for i in range(k)}
-    on_cycle |= {(b, a) for a, b in on_cycle}
-    found = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            a, b = cycle[i], cycle[j]
-            if g.has_edge(a, b) and (a, b) not in on_cycle:
-                found.append((min(a, b), max(a, b)))
-    return found
-
-
 # -- edge-list text format -------------------------------------------------
 
 
@@ -332,9 +265,3 @@ def parse_edge_list(text: str) -> Graph:
             raise ValueError(f"bad edge line {ln!r}")
         edges.append((int(parts[0]), int(parts[1])))
     return Graph.from_edge_list(n, edges)
-
-
-def format_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"

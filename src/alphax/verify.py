@@ -31,7 +31,7 @@ from .graph import Graph, all_cycles
 from .graph6 import write_graph6
 # spectral_radius is unused here but stays a name of this module, where
 # bench/tracer.py looks it up.
-from .spectral import DEFAULT_TOL, alpha_indices, spectral_radius  # noqa: F401
+from .spectral import alpha_indices, spectral_radius  # noqa: F401
 
 TOOL_NAME = "alphax"
 TOOL_VERSION = __version__
@@ -176,9 +176,7 @@ THEOREMS = {
 }
 
 
-def verify_theorem(
-    name: str, n: int, alphas, *, source_graphs=None, tol: float = DEFAULT_TOL
-) -> list[SearchReport]:
+def verify_theorem(name: str, n: int, alphas, *, source_graphs=None) -> list[SearchReport]:
     """Check the claim ``THEOREMS[name]`` at order n over an alpha grid in [1/2, 1)."""
     start = time.perf_counter()
     thm = THEOREMS[name]
@@ -202,7 +200,7 @@ def verify_theorem(
     member_g6 = [write_graph6(g) for g in members]
     expected_g6 = write_graph6(canonical_form(thm.expected(n)).graph())
     reports = []
-    solved = alpha_indices(members, alphas, tol)
+    solved = alpha_indices(members, alphas)
     for row, alpha in enumerate(alphas):
         values = solved.value[row].tolist()
         max_idx = max(range(len(values)), key=lambda i: values[i])

@@ -11,10 +11,17 @@ from functools import lru_cache
 import numpy as np
 
 from alphax import verify
-from alphax.graph import Graph, pair_count, pair_list
-from alphax.spectral import build_alpha_matrix
+from alphax.graph import Graph, bits, mask_of, pair_count, pair_list
+from alphax.spectral import validate_alpha
 
 ALPHA_GRID = (0.0, 0.25, 0.5, 0.6, 0.75, 0.9)
+
+
+def build_alpha_matrix(g: Graph, alpha: float) -> np.ndarray:
+    a = validate_alpha(alpha)
+    mat = (1.0 - a) * g.adjacency_matrix()
+    mat[np.diag_indices(g.n)] += a * np.asarray(g.degrees(), dtype=np.float64)
+    return mat
 
 
 def eig_rho(g: Graph, alpha: float) -> float:
@@ -34,8 +41,56 @@ def perm_apply(g: Graph, perm) -> Graph:
 def brute_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.m != h.m:
         return False
-    target = h.edge_mask()
-    return any(perm_apply(g, p).edge_mask() == target for p in itertools.permutations(range(g.n)))
+    return any(perm_apply(g, p) == h for p in itertools.permutations(range(g.n)))
+
+
+def disjoint_union(g1: Graph, g2: Graph) -> Graph:
+    """The vertices of g1, then those of g2."""
+    edges = g1.edges() + [(u + g1.n, v + g1.n) for u, v in g2.edges()]
+    return Graph.from_edge_list(g1.n + g2.n, edges)
+
+
+def join(g1: Graph, g2: Graph) -> Graph:
+    """Disjoint union plus every edge between the two parts."""
+    edges = disjoint_union(g1, g2).edges()
+    edges += [(u, g1.n + v) for u in range(g1.n) for v in range(g2.n)]
+    return Graph.from_edge_list(g1.n + g2.n, edges)
+
+
+def chords_of_cycle(g: Graph, cycle: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Edges of g joining two non-consecutive vertices of the given cycle."""
+    k = len(cycle)
+    on_cycle = {(cycle[i], cycle[(i + 1) % k]) for i in range(k)}
+    on_cycle |= {(b, a) for a, b in on_cycle}
+    found = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            a, b = cycle[i], cycle[j]
+            if g.has_edge(a, b) and (a, b) not in on_cycle:
+                found.append((min(a, b), max(a, b)))
+    return found
+
+
+def switch_edges(g: Graph, u: int, v: int, nset) -> Graph:
+    """Move the edges from v to a set N of its neighbours over to u.
+
+    N must be a non-empty subset of N(v) avoiding u and all of u's
+    neighbours, so the result is again simple with the same edge count.
+    """
+    nm = mask_of(nset)
+    if nm == 0:
+        raise ValueError("switch set must be non-empty")
+    if nm & ~g.neighbors_mask(v):
+        raise ValueError("switch set must be a subset of N(v)")
+    if nm & g.closed_neighbors_mask(u):
+        raise ValueError("switch set must avoid u and its neighbourhood")
+    adj = list(g.adjacency_rows())
+    for w in bits(nm):
+        adj[v] &= ~(1 << w)
+        adj[w] &= ~(1 << v)
+        adj[u] |= 1 << w
+        adj[w] |= 1 << u
+    return Graph(g.n, tuple(adj))
 
 
 def brute_edge_connectivity(g: Graph) -> int:

@@ -6,11 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from alphax import verify
+from alphax import spectral, verify
 from alphax.cli import main
 from alphax.graph6 import parse_graph6_lines, write_graph6
 from alphax.families import make_cycle, make_wheel
-from alphax.graph import format_edge_list
 
 from helpers import make_report
 
@@ -83,7 +82,7 @@ def test_verify_thm_target(tmp_path, capsys):
     data = json.loads(out_file.read_text())
     assert data[0]["argmax_matches_expected"] is True
     assert data[0]["class_size"] == 11
-    assert "verified" in err.lower() or "ok" in err.lower() or err
+    assert err == "min-2-edge-connected n=7 alpha=0.5: size=11 max=3.68614066 argmax=F`?Nw ok\n"
 
 
 def test_verify_reports_to_stdout_as_json(capsys):
@@ -138,10 +137,26 @@ def test_verify_rejects_a_report_suffix_before_the_campaign(monkeypatch, tmp_pat
     assert not any(tmp_path.iterdir())
 
 
+def test_verify_residual_failure_exits_1_before_writing(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(spectral, "RESIDUAL_TOL", 0.0)
+    out_file = tmp_path / "X.json"
+    code, out, err = run(capsys, "verify", "thm11-odd", "--n", "7", "--alphas", "0.5",
+                         "--out", str(out_file))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("alphax: eigenpair residual ")
+    assert not out_file.exists()
+
+
 def test_verify_lemmas(capsys):
     code, out, _ = run(capsys, "verify", "lemmas", "--n", "5")
     assert code == 0
-    assert "violation" in out.lower() or out.strip()
+    rows = ["min-degree-equals-k"] * 4 + [
+        "edge-count-at-most-2n-2", "no-chorded-cycle", "every-cycle-has-two-degree-3-vertices"]
+    lines = out.splitlines()
+    assert [ln.split(" [")[0] for ln in lines] == rows * 3
+    assert [ln.split(" n=")[1].split()[0] for ln in lines] == [n for n in "345" for _ in rows]
+    assert all(ln.endswith(": ok") for ln in lines)
 
 
 def test_certify_colsums_single_graph(capsys):
@@ -168,7 +183,8 @@ def test_certify_colsums_class_mode(capsys):
 
 def test_edge_list_file_input(tmp_path, capsys):
     path = tmp_path / "wheel.edges"
-    path.write_text(format_edge_list(make_wheel(7)))
+    w7 = make_wheel(7)
+    path.write_text(f"{w7.n} {w7.m}\n" + "".join(f"{u} {v}\n" for u, v in w7.edges()))
     code, out, _ = run(capsys, "rho", str(path), "--alphas", "0.5")
     assert code == 0
     assert "rho=4" in out
@@ -231,6 +247,10 @@ def test_os_error_in_a_fresh_process_has_no_traceback(tmp_path):
         (["certify-colsums", "--class", "min-2-edge-connected", "--n", "8",
           "--n-param", "8"], "--n-param"),
         (["bounds", "K2,6", "--tol", "5"], "--tol"),  # bounds solves nothing
+        # the eigenpair residual bound is the fixed spectral.RESIDUAL_TOL
+        (["verify", "lemmas", "--n", "4", "--tol", "1e-10"], "--tol"),
+        (["rho", "C5", "--tol", "nan"], "--tol"),
+        (["verify", "thm12", "--n", "7", "--tol", "-1"], "--tol"),
     ],
 )
 def test_removed_flags_exit_64(capsys, argv, flag):
@@ -248,13 +268,12 @@ def test_removed_flags_exit_64(capsys, argv, flag):
         ("verify lemmas", ["--in", "{tmp}/missing.g6"]),
         ("verify lemmas", ["--out", "{tmp}/lemmas.json"]),
         ("verify lemmas", ["--alphas", "0.5"]),
-        ("verify lemmas", ["--tol", "1e-10"]),
         ("certify-colsums GRAPH", ["--class", "min-3-connected"]),
         ("certify-colsums GRAPH", ["--n", "8"]),
         ("certify-colsums GRAPH", ["--in", "{tmp}/missing.g6"]),
         ("certify-colsums GRAPH", ["--max-degree", "1"]),
     ],
-    ids=["lemmas-in", "lemmas-out", "lemmas-alphas", "lemmas-tol",
+    ids=["lemmas-in", "lemmas-out", "lemmas-alphas",
          "colsums-class", "colsums-n", "colsums-in", "colsums-max-degree"],
 )
 def test_options_a_mode_ignores_exit_64(tmp_path, capsys, mode, argv):
@@ -307,16 +326,6 @@ def test_order_zero_is_rejected(capsys, argv, message):
     code, _, err = run(capsys, *argv)
     assert code == 64
     assert err == f"alphax: error: {message}\n"
-
-
-@pytest.mark.parametrize("tol", ["nan", "-1"])
-@pytest.mark.parametrize("argv", [["rho", "C5"], ["verify", "thm12", "--n", "7"]],
-                         ids=["rho", "verify"])
-def test_nan_or_negative_tol_exits_64(capsys, argv, tol):
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--tol", tol])
-    assert exc.value.code == 64
-    assert "argument --tol: tolerance must be a number >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("source", ["max-degree", "empty-file"])

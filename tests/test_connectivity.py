@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from alphax import _flow
 from alphax import connectivity as conn
-from alphax.graph import Graph, all_cycles, chords_of_cycle, pair_list
+from alphax.graph import Graph, all_cycles, pair_list
 from alphax.families import (
     make_complete,
     make_complete_bipartite,
@@ -19,6 +19,7 @@ from alphax.families import (
 from helpers import (
     brute_edge_connectivity,
     brute_vertex_connectivity,
+    chords_of_cycle,
     connected_class_reps,
     random_graph,
 )
@@ -70,20 +71,6 @@ def test_threshold_predicates_consistent():
             assert conn.is_k_edge_connected(g, k) == (lam >= k)
         # Whitney: kappa <= lambda <= delta
         assert kappa <= lam <= (g.min_degree() if g.n else 0)
-
-
-def test_bridges_and_cut_vertices():
-    # two triangles sharing vertex 2, joined path to 5
-    g = Graph.from_edge_list(
-        6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (2, 4), (4, 5)]
-    )
-    assert conn.bridges(g) == [(4, 5)]
-    assert conn.cut_vertices(g) == [2, 4]
-    assert conn.bridges(make_cycle(5)) == []
-    assert conn.cut_vertices(make_cycle(5)) == []
-    p = make_path(4)
-    assert conn.bridges(p) == [(0, 1), (1, 2), (2, 3)]
-    assert conn.cut_vertices(p) == [1, 2]
 
 
 def brute_minimally_k_edge(g, k):

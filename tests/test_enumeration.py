@@ -16,13 +16,14 @@ from alphax.enumeration import (
     generation_notes,
     ingest_class,
 )
-from alphax.graph import Graph, all_cycles, chords_of_cycle, pair_count
+from alphax.graph import Graph, all_cycles, pair_count
 from alphax.graph6 import parse_graph6_lines, write_graph6, write_graph6_lines
 from alphax.families import make_complete, make_cycle
 
 from helpers import (
     brute_edge_connectivity,
     brute_vertex_connectivity,
+    chords_of_cycle,
     connected_class_reps,
     iter_all_graphs,
 )

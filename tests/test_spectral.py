@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from alphax import spectral
 from alphax.cli import main
 from alphax.graph import Graph, neighbor_degree_sum, pair_list
 from alphax.graph6 import parse_graph6_lines
@@ -17,13 +18,11 @@ from alphax.spectral import (
     bound_lower_delta,
     bound_upper_degree,
     bound_upper_edge,
-    build_alpha_matrix,
     column_sum_certificate,
     spectral_radius,
     validate_alpha,
 )
 from alphax.families import (
-    disjoint_union,
     make_complete,
     make_complete_bipartite,
     make_cycle,
@@ -32,7 +31,14 @@ from alphax.families import (
     make_wheel,
 )
 
-from helpers import ALPHA_GRID, connected_class_reps, eig_rho, random_graph
+from helpers import (
+    ALPHA_GRID,
+    build_alpha_matrix,
+    connected_class_reps,
+    disjoint_union,
+    eig_rho,
+    random_graph,
+)
 
 DATA_FILE = Path(__file__).resolve().parent.parent / "data" / "min2ec_n8.g6"
 
@@ -112,15 +118,16 @@ def test_adding_edge_never_decreases_radius():
         assert spectral_radius(g.add_edge(u, v), a).radius >= spectral_radius(g, a).radius - 1e-10
 
 
-def test_unreachable_tol_raises(capsys):
+def test_unreachable_tol_raises(monkeypatch, capsys):
     # P_4's Perron vector is irrational, so no float pair has residual 0
+    monkeypatch.setattr(spectral, "RESIDUAL_TOL", 0.0)
     with pytest.raises(ConvergenceError) as err:
-        spectral_radius(make_path(4), 0.0, tol=0.0)
+        spectral_radius(make_path(4), 0.0)
     assert err.value.residual > 0 and err.value.tol == 0.0
     with pytest.raises(ConvergenceError):
-        alpha_indices([make_cycle(5), make_path(4)], [0.5, 0.0], tol=0.0)
-    assert main(["rho", "P4", "--alphas", "0", "--tol", "0"]) == 1
-    assert "residual" in capsys.readouterr().err
+        alpha_indices([make_cycle(5), make_path(4)], [0.5, 0.0])
+    assert main(["rho", "P4", "--alphas", "0"]) == 1
+    assert capsys.readouterr().err.startswith("alphax: eigenpair residual ")
 
 
 # -- batched solve and enclosures ------------------------------------------
@@ -257,7 +264,7 @@ def test_degree_bound_tight_only_on_regular():
         for g in connected_class_reps(n):
             for a in (0.6, 0.75):
                 gap = bound_upper_degree(g, a) - spectral_radius(g, a).radius
-                if g.is_regular():
+                if min(g.degrees()) == max(g.degrees()):
                     assert abs(gap) < 1e-9
                 else:
                     assert gap > 1e-8
