@@ -154,7 +154,8 @@ def _cmd_enumerate(args) -> int:
     if args.infile and not members:
         raise UsageError(f"no {flt.describe()} graph on {args.n} vertices in {args.infile}")
     _write_text(write_graph6_lines(members), args.out)
-    print(f"{flt.describe()} n={args.n}: {len(members)} graphs", file=sys.stderr)
+    noun = "graph" if len(members) == 1 else "graphs"
+    print(f"{flt.describe()} n={args.n}: {len(members)} {noun}", file=sys.stderr)
     return 0
 
 

@@ -26,12 +26,22 @@ chord (the paper's lemma), nor after a vertex deletion, and a graph of
 minimum degree 3 has a chorded cycle (Posa, Czipszer), so these graphs grow
 from K_1 by vertices of degree at most 2.
 
+Only the base graphs that can be G-v are kept: G-v is connected, its degrees
+are at least k-1 and at most k of them are below k (G has minimum degree k,
+and deleting v lowers only its k neighbours, by one each), and for the
+min-k-connected classes its vertices of degree above k induce a forest (they
+have degree above k in G, where such vertices induce a forest: Mader 1972).
+This filter runs before the base level's canonical dedup, and the degree
+conditions are read off the degrees of the graph below and the join set
+before the joined graph is built.  The lower levels stay complete.
+
 Each base graph B is joined to one neighbour set per orbit of Aut(B) (the
 generators come with B's canonical form): sigma in Aut(B) maps B+S
 isomorphically onto B+sigma(S).  Every filter on S is Aut(B)-invariant, so
 the candidate sets form whole orbits: the edge room (B's edge count plus
-|S|), the size k, and ``S & low == low`` (``low``, the vertices of degree
-below k, is a union of orbits).  Joins of different base graphs can still
+|S|), the size k, ``S & low == low`` (``low``, the vertices of degree
+below k, is a union of orbits) and the base level's degree conditions (on
+the degrees of B+S).  Joins of different base graphs can still
 be isomorphic, so every level is still deduplicated by canonical form.
 
 Built-in generation covers n <= 12 (the canonical-form cap) for minimally
@@ -45,7 +55,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 
 from . import connectivity
@@ -203,6 +213,11 @@ def _level(graphs) -> Level:
     return tuple((f.graph(), f.automorphisms) for f in sorted(forms))
 
 
+def _all_sets(g: Graph, sets):
+    """The join-set sieve that keeps every set."""
+    return sets
+
+
 @lru_cache(maxsize=None)
 def _connected(n: int, m_max: int) -> Level:
     """All connected graphs on n vertices with at most m_max edges."""
@@ -210,10 +225,15 @@ def _connected(n: int, m_max: int) -> Level:
         return _connected(n, pair_count(n))
     if n == 1:
         return _K1 if m_max >= 0 else ()
-    grown = (_join_new_vertex(g, s) for g, autos in _connected(n - 1, m_max - 1)
-             for s in _orbit_reps([nbrs for nbrs in range(1, 1 << (n - 1))
-                                   if g.m + nbrs.bit_count() <= m_max], autos))
-    return _level(grown)
+    return _level(_connected_joins(n, m_max))
+
+
+def _connected_joins(n: int, m_max: int, sieve=_all_sets):
+    """Each graph of _connected(n-1, m_max-1) plus a vertex joined to one nonempty set
+    per orbit that fits the edge room and passes ``sieve(g, sets)``."""
+    return (_join_new_vertex(g, s) for g, autos in _connected(n - 1, m_max - 1)
+            for s in _orbit_reps(sieve(g, [nbrs for nbrs in range(1, 1 << (n - 1))
+                                           if g.m + nbrs.bit_count() <= m_max]), autos))
 
 
 @lru_cache(maxsize=None)
@@ -223,13 +243,43 @@ def _chorded_cycle_free(n: int) -> Level:
     Connected or not: deleting a vertex may disconnect a graph.  A new vertex
     of degree 0 or 1 lies on no cycle, so only joins to 2 vertices are tested.
     """
-    if n == 1:
-        return _K1
+    return _K1 if n == 1 else _level(_chorded_cycle_free_joins(n))
+
+
+def _chorded_cycle_free_joins(n: int, sieve=_all_sets):
+    """The graphs of _chorded_cycle_free(n), one or more per class, from the
+    join sets of degree at most 2 that pass ``sieve(g, sets)``."""
     joins = (0, *(1 << v for v in range(n - 1)), *_k_sets(n - 1, 2))
-    grown = (h for g, autos in _chorded_cycle_free(n - 1)
-             for h in (_join_new_vertex(g, s) for s in _orbit_reps(joins, autos))
-             if h.degree(n - 1) < 2 or not connectivity.has_chorded_cycle(h))
-    return _level(grown)
+    return (h for g, autos in _chorded_cycle_free(n - 1)
+            for h in (_join_new_vertex(g, s) for s in _orbit_reps(sieve(g, joins), autos))
+            if h.degree(n - 1) < 2 or not connectivity.has_chorded_cycle(h))
+
+
+def _liftable(g: Graph, sets, k: int) -> list[int]:
+    """The sets s for which every degree of g+s is at least k-1 and at most k are below k.
+
+    g+s has the degrees of g, plus one on s, and |s| for the new vertex.
+    """
+    degs = g.degrees()
+    if min(degs) < k - 2:
+        return []
+    need = sum(1 << u for u, d in enumerate(degs) if d == k - 2)  # below k-1 unless in s
+    short = sum(1 << u for u, d in enumerate(degs) if d == k - 1)  # below k unless in s
+    return [s for s in sets if s & need == need and s.bit_count() >= k - 1
+            and need.bit_count() + (short & ~s).bit_count() + (s.bit_count() < k) <= k]
+
+
+def _base(n: int, flt: ClassFilter) -> Level:
+    """The base level of the class on n vertices: the graphs on n-1 vertices that
+    can be G-v for a member G and a vertex v of degree k."""
+    k = flt.k
+    if n == 2:
+        return _K1  # K_2 = K_1 plus a vertex of degree 1; for k > 1 nothing joins
+    sieve = partial(_liftable, k=k)
+    joins = (_chorded_cycle_free_joins(n - 1, sieve) if flt == MIN_2EC
+             else _connected_joins(n - 1, edge_bound(n, flt) - k, sieve))
+    return _level(h for h in joins if h.is_connected()
+                  and (flt.kind != "min-vertex" or connectivity.high_degree_forest(h, k)))
 
 
 @lru_cache(maxsize=None)
@@ -240,10 +290,8 @@ def _grow(n: int, flt: ClassFilter) -> Level:
     if n < 2:
         return ()
     k = flt.k
-    base = (_chorded_cycle_free(n - 1) if flt == MIN_2EC
-            else _connected(n - 1, edge_bound(n, flt) - k))
     members = []
-    for g, autos in base:  # the new vertex must lift every base degree below k
+    for g, autos in _base(n, flt):  # the new vertex must lift every base degree below k
         low = sum(1 << v for v, d in enumerate(g.degrees()) if d < k)
         sets = _orbit_reps((s for s in _k_sets(n - 1, k) if s & low == low), autos)
         members += filter(flt.passes, (_join_new_vertex(g, s) for s in sets))

@@ -72,6 +72,13 @@ def test_enumerate_to_file_and_back(tmp_path, capsys):
     assert parse_graph6_lines(out) == graphs
 
 
+def test_enumerate_count_line_is_singular_for_one_graph(capsys):
+    code, out, err = run(capsys, "enumerate", "--n", "5", "--class", "min-4-connected")
+    assert code == 0
+    assert err == "min-4-connected n=5: 1 graph\n"
+    assert out == "D~{\n"  # K_5
+
+
 def test_verify_thm_target(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code, _, err = run(

@@ -1,3 +1,4 @@
+from functools import lru_cache
 from pathlib import Path
 
 import networkx as nx
@@ -36,6 +37,28 @@ MIN_2EC = ClassFilter("min-edge", 2)
 MIN_3C = ClassFilter("min-vertex", 3)
 MIN_2C = ClassFilter("min-vertex", 2)
 MIN_3EC = ClassFilter("min-edge", 3)
+SMALL_K = [ClassFilter(kind, k) for k in range(1, 5) for kind in ("min-vertex", "min-edge")]
+
+
+def _plain_minimal(flt: ClassFilter):
+    """The class predicate with no shortcut: for the vertex classes, kappa is
+    re-tested after every edge deletion instead of Mader's forest check."""
+    k = flt.k
+    if flt.kind == "all-connected":
+        return Graph.is_connected
+    if flt.kind == "min-edge":
+        return lambda g: connectivity.is_minimally_k_edge_connected(g, k)
+    return lambda g: connectivity.is_k_connected(g, k) and not any(
+        connectivity.is_k_connected(g.delete_edge(u, v), k) for u, v in g.edges())
+
+
+@lru_cache(maxsize=None)
+def _scanned(n: int, flt: ClassFilter) -> tuple[Graph, ...]:
+    """The class from the labelled scan, which uses no lemma, degree-k vertex or
+    edge bound: every labelling with minimum degree k (forced by
+    k-(edge-)connectivity) meets the plain predicate."""
+    masks = kernels.scan_masks(n, flt.k, _plain_minimal(flt))
+    return tuple(dedup_by_isomorphism(Graph.from_edge_mask(n, m) for m in masks))
 
 
 def test_filter_parsing():
@@ -77,6 +100,9 @@ def test_minimal_class_counts():
         assert len(enumerate_class(n, MIN_2EC)) == want
     for n, want in [(4, 1), (5, 1), (6, 3), (7, 5)]:
         assert len(enumerate_class(n, MIN_3C)) == want
+    for kind in ("min-vertex", "min-edge"):  # minimally 1-(edge-)connected: the trees
+        trees = ClassFilter(kind, 1)
+        assert [len(enumerate_class(n, trees)) for n in range(2, 8)] == [1, 1, 2, 3, 6, 11]
 
 
 def test_triangle_is_the_smallest_member():
@@ -146,17 +172,30 @@ def test_builtin_cap_points_to_ingestion():
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_grown_class_matches_lemma_free_scan(n):
-    # no lemma, degree-k vertex or edge bound: every labelling with minimum
-    # degree k (forced by k-(edge-)connectivity) meets the plain predicate
-    plain = [
-        (MIN_2EC, lambda g: connectivity.is_minimally_k_edge_connected(g, 2)),
-        (MIN_3EC, lambda g: connectivity.is_minimally_k_edge_connected(g, 3)),
-        (ALL_CONN, Graph.is_connected),
-    ]
-    for flt, passes in plain:
-        masks = kernels.scan_masks(n, flt.k, passes)
-        scanned = dedup_by_isomorphism(Graph.from_edge_mask(n, m) for m in masks)
-        assert enumerate_class(n, flt) == scanned, flt.describe()
+    for flt in (MIN_2EC, MIN_3EC, ALL_CONN, *(f for f in SMALL_K if f.k in (1, 4))):
+        assert enumerate_class(n, flt) == list(_scanned(n, flt)), flt.describe()
+
+
+@pytest.mark.parametrize("flt", SMALL_K, ids=ClassFilter.describe)
+def test_base_level_keeps_every_member_minus_a_degree_k_vertex(flt):
+    # the base filter's facts, checked on members found without them
+    for n in range(2, 8):
+        base = {g for g, _ in enumeration._base(n, flt)}
+        for g in _scanned(n, flt):
+            low = [v for v, d in enumerate(g.degrees()) if d == flt.k]
+            assert low, write_graph6(g)  # Halin's / Mader's vertex of degree k
+            for v in low:
+                h = g.induced_subgraph(u for u in range(n) if u != v)
+                assert canonical_form(h).graph() in base, (n, write_graph6(g), v)
+
+
+def test_base_level_is_pruned_for_the_scan7_classes():
+    # the top base level before the filter: 56 chorded-cycle-free graphs on 6
+    # vertices, and 80 connected ones with at most 3(7-3)-3 = 9 edges
+    assert len(enumeration._chorded_cycle_free(6)) == 56
+    assert len(enumeration._base(7, MIN_2EC)) == 19
+    assert len(enumeration._connected(6, 9)) == 80
+    assert len(enumeration._base(7, MIN_3C)) == 21
 
 
 def test_connected_levels_match_atlas_counts():
@@ -236,14 +275,7 @@ def test_forest_check_is_not_valid_for_edge_classes():
 
 @pytest.mark.parametrize("flt", [MIN_2C, MIN_3C], ids=lambda f: f.describe())
 def test_grown_vertex_classes_match_plain_scan_n7(flt):
-    def plain_minimal(g):  # no Mader check: re-test kappa after every deletion
-        k = flt.k
-        return connectivity.is_k_connected(g, k) and not any(
-            connectivity.is_k_connected(g.delete_edge(u, v), k) for u, v in g.edges())
-
-    plain = kernels.scan_masks(7, flt.k, plain_minimal)
-    want = dedup_by_isomorphism(Graph.from_edge_mask(7, m) for m in plain)
-    assert enumerate_class(7, flt) == want
+    assert enumerate_class(7, flt) == list(_scanned(7, flt))
 
 
 def test_n9_class_file_regenerates_byte_identically():
