@@ -1,7 +1,7 @@
 """Canonical labelling for small graphs, and isomorphism testing built on it.
 
-The canonical form of a graph is the lexicographically smallest upper-triangle
-adjacency bitstring (in graph6 column order) over all vertex orderings the
+The canonical form of a graph is the smallest edge-bit code
+(:meth:`Graph.edge_bits`, graph6's bit stream) over all vertex orderings the
 search below generates.  The search respects iterated degree refinement: at
 each position the next vertex must come from the lowest refinement colour
 among unplaced vertices, the chosen vertex is individualized and the colouring
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph, bits, pair_count
+from .graph import Graph, bits
 from .graph6 import write_graph6
 
 MAX_CANONICAL_VERTICES = 12
@@ -62,9 +62,9 @@ class CapabilityError(ValueError):
 class CanonicalForm:
     """Order-comparable fingerprint: vertex count plus canonical adjacency bits.
 
-    ``bits`` packs the column-ordered upper triangle with the first pair in
-    the most significant position, so integer order equals lexicographic
-    order on bitstrings of equal length.  ``automorphisms`` generate
+    ``bits`` is the edge-bit code of ``graph()`` (:meth:`Graph.edge_bits`),
+    so integer order equals lexicographic order on bitstrings of equal
+    length, and ``graph6()`` writes the same bits.  ``automorphisms`` generate
     Aut(``graph()``); they take no part in equality, order or hashing.
     """
 
@@ -73,12 +73,7 @@ class CanonicalForm:
     automorphisms: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
 
     def graph(self) -> Graph:
-        npairs = pair_count(self.n)
-        mask = 0
-        for idx in range(npairs):
-            if (self.bits >> (npairs - 1 - idx)) & 1:
-                mask |= 1 << idx
-        return Graph.from_edge_mask(self.n, mask)
+        return Graph.from_edge_bits(self.n, self.bits)
 
     def graph6(self) -> str:
         return write_graph6(self.graph())

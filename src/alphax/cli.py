@@ -185,6 +185,10 @@ def _cmd_verify(args) -> int:
     return verify.exit_code(reports)
 
 
+def _count(items, noun: str) -> str:
+    return f"{len(items)} {noun}" + ("" if len(items) == 1 else "s")
+
+
 def _cmd_certify_colsums(args) -> int:
     alphas = _parse_alphas(args.alphas)
     if args.graph:
@@ -210,7 +214,7 @@ def _cmd_certify_colsums(args) -> int:
                 print(f"alpha={alpha!r} colsums: {joined}")
     if not args.graph:
         print(
-            f"checked {len(graphs)} graphs x {len(alphas)} alphas: "
+            f"checked {_count(graphs, 'graph')} x {_count(alphas, 'alpha')}: "
             + ("all column sums negative" if all_negative else "nonnegative column sum found")
         )
     return 0 if all_negative else 1

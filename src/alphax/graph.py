@@ -7,6 +7,9 @@ intersections, differences of vertex sets) single integer operations.
 
 Vertex sets are plain ints used as bitmasks, or any iterable of vertex
 indices; helpers below convert between the two.
+
+:meth:`Graph.edge_bits` and :meth:`Graph.from_edge_bits` map rows to and from
+the one edge-bit code, shared by graph6 lines and canonical forms.
 """
 
 from __future__ import annotations
@@ -99,14 +102,23 @@ class Graph:
         return cls(n, tuple(adj))
 
     @classmethod
-    def from_edge_mask(cls, n: int, mask: int) -> "Graph":
-        """Build from a bitmask over the column-ordered vertex pairs."""
+    def from_edge_bits(cls, n: int, code: int) -> "Graph":
+        """Inverse of :meth:`edge_bits`."""
         adj = [0] * n
-        for idx, (i, j) in enumerate(pair_list(n)):
-            if (mask >> idx) & 1:
+        for idx, (i, j) in enumerate(reversed(pair_list(n))):
+            if (code >> idx) & 1:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
         return cls(n, tuple(adj))
+
+    def edge_bits(self) -> int:
+        """Upper triangle in column order, first pair most significant: the
+        order of graph6's bit stream (unpadded) and of ``CanonicalForm.bits``."""
+        code = 0
+        for j, row in enumerate(self._adj):
+            for i in range(j):
+                code = (code << 1) | ((row >> i) & 1)
+        return code
 
     # -- basic queries -----------------------------------------------------
 

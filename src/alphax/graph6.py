@@ -1,15 +1,16 @@
 """graph6 reader/writer for graphs on up to 62 vertices.
 
 The format: one printable ASCII line per graph.  The first byte is n+63, the
-rest pack the upper triangle of the adjacency matrix in column order
-x(0,1), x(0,2), x(1,2), x(0,3), ... into 6-bit groups, most significant bit
-first, each group offset by 63.  The optional ">>graph6<<" header is accepted
-and skipped.  Multi-byte vertex counts (n > 62) are rejected explicitly.
+rest are the edge-bit code of :meth:`Graph.edge_bits` (the upper triangle in
+column order x(0,1), x(0,2), x(1,2), x(0,3), ..., first pair most
+significant), zero-padded on the right to whole 6-bit groups, each group
+offset by 63.  The optional ">>graph6<<" header is accepted and skipped.
+Multi-byte vertex counts (n > 62) are rejected explicitly.
 """
 
 from __future__ import annotations
 
-from .graph import Graph, pair_count, pair_list
+from .graph import Graph, pair_count
 
 HEADER = ">>graph6<<"
 
@@ -25,20 +26,11 @@ class Graph6Error(ValueError):
 def write_graph6(g: Graph) -> str:
     if g.n > 62:
         raise Graph6Error(f"graph6 output supports at most 62 vertices, got {g.n}", 0)
-    out = [chr(g.n + 63)]
-    bit_buf = 0
-    bit_len = 0
-    adj = g.adjacency_rows()
-    for i, j in pair_list(g.n):
-        bit_buf = (bit_buf << 1) | ((adj[i] >> j) & 1)
-        bit_len += 1
-        if bit_len == 6:
-            out.append(chr(bit_buf + 63))
-            bit_buf = 0
-            bit_len = 0
-    if bit_len:
-        out.append(chr((bit_buf << (6 - bit_len)) + 63))
-    return "".join(out)
+    nbytes = (pair_count(g.n) + 5) // 6
+    code = g.edge_bits() << (6 * nbytes - pair_count(g.n))
+    return chr(g.n + 63) + "".join(
+        chr(((code >> (6 * k)) & 63) + 63) for k in reversed(range(nbytes))
+    )
 
 
 def parse_graph6(line: str) -> Graph:
@@ -68,24 +60,16 @@ def parse_graph6(line: str) -> Graph:
         )
     if len(payload) > need_bytes:
         raise Graph6Error("trailing bytes after payload", base + 1 + need_bytes)
-    adj = [0] * n
-    pairs = pair_list(n)
-    idx = 0
+    code = 0
     for k, ch in enumerate(payload):
         val = ord(ch) - 63
         if not 0 <= val <= 63:
             raise Graph6Error(f"invalid byte {ord(ch)}", base + 1 + k)
-        for b in range(5, -1, -1):
-            if idx >= need_bits:
-                if (val >> b) & 1:
-                    raise Graph6Error("nonzero padding bits", base + 1 + k)
-                continue
-            if (val >> b) & 1:
-                i, j = pairs[idx]
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            idx += 1
-    return Graph(n, tuple(adj))
+        code = (code << 6) | val
+    padding = 6 * need_bytes - need_bits
+    if code & ((1 << padding) - 1):
+        raise Graph6Error("nonzero padding bits", base + need_bytes)  # the last byte
+    return Graph.from_edge_bits(n, code >> padding)
 
 
 def parse_graph6_lines(text: str) -> list[Graph]:

@@ -6,8 +6,8 @@ least dmin whose vertices are in lexicographically non-increasing order of
 each to the class predicate the caller passes, in vectorized numpy over
 chunks of edge masks.  No campaign calls the scan: enumeration grows every
 class, and the tests check the generator against this scan with plain
-predicates.  Edge bit positions follow the column pair order of
-graph.pair_list.
+predicates.  A mask is the edge-bit code of :meth:`Graph.edge_bits`, so bit 0
+is the last pair of graph.pair_list.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ def _key_sorted(n: int, arr: np.ndarray, vertex_masks: np.ndarray) -> np.ndarray
     degs = np.stack([np.bitwise_count(arr & vm) for vm in vertex_masks], axis=1)
     degs = degs.astype(np.int64)
     key = degs * (n * n)
-    for idx, (i, j) in enumerate(pair_list(n)):
+    for idx, (i, j) in enumerate(reversed(pair_list(n))):
         edge = (arr >> idx) & 1
         key[:, i] += edge * degs[:, j]
         key[:, j] += edge * degs[:, i]
@@ -39,7 +39,7 @@ def _key_sorted(n: int, arr: np.ndarray, vertex_masks: np.ndarray) -> np.ndarray
 def scan_masks(n: int, dmin: int, passes: Callable[[Graph], bool]) -> list[int]:
     """Edge masks of all labeled graphs passing the filters and ``passes``, ascending."""
     vertex_masks = np.zeros(n, dtype=np.int64)
-    for idx, (i, j) in enumerate(pair_list(n)):
+    for idx, (i, j) in enumerate(reversed(pair_list(n))):
         vertex_masks[i] |= 1 << idx
         vertex_masks[j] |= 1 << idx
     masks: list[int] = []
@@ -58,6 +58,6 @@ def scan_masks(n: int, dmin: int, passes: Callable[[Graph], bool]) -> list[int]:
             arr, prev = arr[keep], deg[keep]
         arr = arr[_key_sorted(n, arr, vertex_masks)]
         for mask in arr.tolist():
-            if passes(Graph.from_edge_mask(n, mask)):
+            if passes(Graph.from_edge_bits(n, mask)):
                 masks.append(mask)
     return masks

@@ -219,19 +219,17 @@ def bound_lower_delta(g: Graph, alpha: float) -> float:
 # -- column-sum certificate ------------------------------------------------
 
 
-def column_sum_certificate(g: Graph, alpha):
-    """Column sums of B = A_alpha^2 - alpha*n*A_alpha + 2(2a-1)(n-2)*I.
+def column_sum_certificate(g: Graph, alphas):
+    """Column sums of B = A_alpha^2 - alpha*n*A_alpha + 2(2a-1)(n-2)*I, per alpha.
 
     Computed both from the matrix and from the closed form
     alpha*d(u)^2 + (1-alpha)*S(u) - alpha*n*d(u) + 2(2a-1)(n-2), where S(u)
     is the neighbour degree sum.  The two routes must agree to CERT_TOL at
     every alpha; any disagreement raises, since it would mean the closed
-    form is wrong.  A single alpha gives a list of n floats; a sequence of
-    alphas is evaluated as one numpy batch and gives one such list per alpha.
+    form is wrong.  The alphas are evaluated as one numpy batch, giving one
+    list of n floats per alpha.
     """
-    if np.ndim(alpha) == 0:
-        return column_sum_certificate(g, [alpha])[0]
-    a = np.array([validate_alpha(x) for x in alpha], dtype=np.float64)[:, None]
+    a = np.array([validate_alpha(x) for x in alphas], dtype=np.float64)[:, None]
     deg = np.array(g.degrees(), dtype=np.int64)
     nbr = np.array([neighbor_degree_sum(g, u) for u in range(g.n)], dtype=np.int64)
     const = 2.0 * (2.0 * a - 1.0) * (g.n - 2)

@@ -198,7 +198,7 @@ def verify_theorem(name: str, n: int, alphas, *, source_graphs=None) -> list[Sea
     if not members:
         raise UsageError(f"class {flt.describe()} is empty at n={n}")
     member_g6 = [write_graph6(g) for g in members]
-    expected_g6 = write_graph6(canonical_form(thm.expected(n)).graph())
+    expected_g6 = canonical_form(thm.expected(n)).graph6()
     reports = []
     solved = alpha_indices(members, alphas)
     for row, alpha in enumerate(alphas):

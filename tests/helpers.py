@@ -31,7 +31,7 @@ def eig_rho(g: Graph, alpha: float) -> float:
 
 def iter_all_graphs(n: int):
     for mask in range(1 << pair_count(n)):
-        yield Graph.from_edge_mask(n, mask)
+        yield Graph.from_edge_bits(n, mask)
 
 
 def perm_apply(g: Graph, perm) -> Graph:

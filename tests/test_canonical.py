@@ -101,6 +101,21 @@ def test_golden_canonical_forms():
     assert golden_text() == GOLDEN.read_text("ascii")
 
 
+def test_canonical_code_is_the_graph6_payload():
+    atlas = [Graph.from_edge_list(h.number_of_nodes(), h.edges())
+             for h in nx.graph_atlas_g()[1:]]
+    for g in atlas + golden_inputs():
+        form = canonical_form(g)
+        assert form.bits == form.graph().edge_bits()
+        npairs = len(pair_list(form.n))
+        assert form.bits >> npairs == 0
+        # a leading 1 keeps the code's leading zeros in its binary string
+        padded = bin(1 << npairs | form.bits)[3:] + "0" * (-npairs % 6)
+        chunks = [padded[i:i + 6] for i in range(0, len(padded), 6)]
+        payload = "".join(chr(63 + int(c, 2)) for c in chunks)
+        assert write_graph6(form.graph()) == chr(63 + form.n) + payload
+
+
 def test_invariant_under_relabeling_random():
     rng = random.Random(12345)
     for _ in range(120):

@@ -188,6 +188,14 @@ def test_certify_colsums_class_mode(capsys):
     assert "all column sums negative" in out
 
 
+def test_certify_colsums_counts_one_graph_and_one_alpha_in_the_singular(capsys):
+    code, out, _ = run(
+        capsys, "certify-colsums", "--class", "min-4-connected", "--n", "5", "--alphas", "0.5",
+    )
+    assert code == 1
+    assert out == "checked 1 graph x 1 alpha: nonnegative column sum found\n"
+
+
 def test_edge_list_file_input(tmp_path, capsys):
     path = tmp_path / "wheel.edges"
     w7 = make_wheel(7)

@@ -58,7 +58,7 @@ def _scanned(n: int, flt: ClassFilter) -> tuple[Graph, ...]:
     edge bound: every labelling with minimum degree k (forced by
     k-(edge-)connectivity) meets the plain predicate."""
     masks = kernels.scan_masks(n, flt.k, _plain_minimal(flt))
-    return tuple(dedup_by_isomorphism(Graph.from_edge_mask(n, m) for m in masks))
+    return tuple(dedup_by_isomorphism(Graph.from_edge_bits(n, m) for m in masks))
 
 
 def test_filter_parsing():

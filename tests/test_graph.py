@@ -47,18 +47,22 @@ def test_constructor_validates_adjacency():
         Graph(2, (0b01, 0b00))  # loop at vertex 0
 
 
-def test_edge_mask_column_order():
-    # bit layout follows the upper triangle read column by column:
-    # (0,1) -> bit 0, (0,2) -> bit 1, (1,2) -> bit 2
+def test_edge_bits_column_order():
+    # the upper triangle read column by column, first pair most significant:
+    # (0,1) -> bit 2, (0,2) -> bit 1, (1,2) -> bit 0
     assert pair_list(3) == [(0, 1), (0, 2), (1, 2)]
-    assert Graph.from_edge_mask(3, 0b010) == Graph.from_edge_list(3, [(0, 2)])
-    assert Graph.from_edge_mask(3, 0b101) == Graph.from_edge_list(3, [(0, 1), (1, 2)])
+    assert Graph.from_edge_bits(3, 0b100) == Graph.from_edge_list(3, [(0, 1)])
+    assert Graph.from_edge_bits(3, 0b010) == Graph.from_edge_list(3, [(0, 2)])
+    assert Graph.from_edge_bits(3, 0b101) == Graph.from_edge_list(3, [(0, 1), (1, 2)])
+    assert Graph.from_edge_list(3, [(0, 1)]).edge_bits() == 0b100
 
 
-def test_edge_mask_round_trip():
+def test_edge_bits_round_trip():
     g = make_wheel(6)
-    mask = sum(1 << i for i, (u, v) in enumerate(pair_list(6)) if g.has_edge(u, v))
-    assert Graph.from_edge_mask(6, mask) == g
+    pairs = pair_list(6)
+    code = sum(1 << (len(pairs) - 1 - i) for i, (u, v) in enumerate(pairs) if g.has_edge(u, v))
+    assert g.edge_bits() == code
+    assert Graph.from_edge_bits(6, code) == g
 
 
 def test_degree_helpers():

@@ -91,10 +91,19 @@ def test_parse_error_offsets():
 def test_parse_rejects_nonzero_padding():
     # n=2 uses only the top bit of its payload byte; 63+0b100001 sets the
     # edge bit plus a padding bit and must be rejected
-    with pytest.raises(Graph6Error):
+    with pytest.raises(Graph6Error) as err:
         parse_graph6("A" + chr(63 + 0b100001))
+    assert err.value.offset == 1
     with pytest.raises(Graph6Error):
         parse_graph6("A" + chr(63 + 0b000001))
+    # n=5 has 10 pair bits in 2 bytes; the low 2 bits of byte 2 are padding
+    line = "D" + chr(63 + 0b111111) + chr(63 + 0b000010)
+    with pytest.raises(Graph6Error, match="padding") as err:
+        parse_graph6(line)
+    assert err.value.offset == 2
+    with pytest.raises(Graph6Error, match="padding") as err:
+        parse_graph6(">>graph6<<" + line)
+    assert err.value.offset == 12
 
 
 def test_line_helpers():

@@ -29,7 +29,7 @@ def test_scan_masks_decode_to_class_members():
         assert masks
         assert masks == sorted(masks)
         for mask in masks:
-            g = Graph.from_edge_mask(n, mask)
+            g = Graph.from_edge_bits(n, mask)
             assert flt.passes(g)
             # the scan's labelling filter
             keys = [(g.degree(v), neighbor_degree_sum(g, v)) for v in range(n)]

@@ -276,14 +276,14 @@ def test_degree_bound_tight_only_on_regular():
 def test_certificate_regular_closed_form():
     # any r-regular graph at alpha = 1/2: every column sums to r^2 - n*r/2
     c8 = make_cycle(8)
-    assert column_sum_certificate(c8, 0.5) == pytest.approx([-4.0] * 8, abs=1e-12)
+    assert column_sum_certificate(c8, [0.5])[0] == pytest.approx([-4.0] * 8, abs=1e-12)
     k5 = make_complete(5)
-    assert column_sum_certificate(k5, 0.5) == pytest.approx([16 - 10.0] * 5, abs=1e-12)
+    assert column_sum_certificate(k5, [0.5])[0] == pytest.approx([16 - 10.0] * 5, abs=1e-12)
 
 
 def test_certificate_bipartite_boundary_case():
     # K_{2,6} at alpha = 1/2 sits exactly on the boundary: every column sum 0
-    sums = column_sum_certificate(make_complete_bipartite(2, 6), 0.5)
+    sums = column_sum_certificate(make_complete_bipartite(2, 6), [0.5])[0]
     assert sums == pytest.approx([0.0] * 8, abs=1e-12)
 
 
@@ -292,7 +292,7 @@ def test_certificate_two_routes_agree():
     for _ in range(40):
         g = random_graph(rng, rng.randint(2, 10), rng.uniform(0.2, 0.9))
         a = rng.choice(ALPHA_GRID)
-        sums = column_sum_certificate(g, a)
+        sums = column_sum_certificate(g, [a])[0]
         n = g.n
         mat = build_alpha_matrix(g, a)
         b = mat @ mat - a * n * mat + 2 * (2 * a - 1) * (n - 2) * np.eye(n)
@@ -301,15 +301,15 @@ def test_certificate_two_routes_agree():
 
 def test_certificate_grid_matches_scalar_loop_exactly():
     # the numpy grid keeps the scalar formula's operation order, so the
-    # floats agree bit for bit
+    # floats agree bit for bit, on the whole grid and on one-alpha grids
     rng = random.Random(7)
     grid = [0.0, 0.25, 0.5, 0.6, 0.75, 0.9, 1.0]
     for _ in range(10):
         g = random_graph(rng, rng.randint(2, 10), 0.5)
         n = g.n
         rows = column_sum_certificate(g, grid)
-        assert column_sum_certificate(g, grid[2]) == rows[2]
         for a, row in zip(grid, rows):
+            assert column_sum_certificate(g, [a]) == [row]
             const = 2.0 * (2.0 * a - 1.0) * (n - 2)
             assert row == [
                 a * g.degree(u) ** 2
