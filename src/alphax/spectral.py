@@ -1,10 +1,11 @@
 """The alpha-index: largest eigenvalue of A_alpha(G) = alpha*D + (1-alpha)*A.
 
-Graphs are split into connected components, components of equal order are
-stacked, and each alpha sends the whole stack through one ``np.linalg.eigh``
-call.  Each solve yields a value, the infinity-norm residual ||Mx - rho x||
-of the returned pair (above RESIDUAL_TOL it raises ConvergenceError), and the
-Collatz-Wielandt enclosure
+Graphs are split into connected components, and the (alpha, component)
+pairs to solve are stacked by component order into ``np.linalg.eigh`` calls,
+one alpha per matrix and never more matrices per call than there are
+components of that order.  Each solve yields a value, the infinity-norm
+residual ||Mx - rho x|| of the returned pair (above RESIDUAL_TOL it raises
+ConvergenceError), and the Collatz-Wielandt enclosure
 
     min_i (Mx)_i / x_i  <=  rho(M)  <=  max_i (Mx)_i / x_i
 
@@ -22,6 +23,24 @@ exact enclosure [Delta, Delta].  A disconnected graph takes the maximum over
 its components, with the enclosure [max lo, max hi]; K_1 is the 1x1 zero
 matrix.
 
+``alpha_indices`` solves only the graphs that can come first or second at
+each alpha.  A graph's alpha-index is at most its degree bound
+
+    B = max over vertices u of degree > 0 of  alpha*d(u) + (1-alpha)*S(u)/d(u),
+
+S(u) the sum of u's neighbours' degrees, and 0 on a graph with no edge: on
+each component with an edge it is the Collatz-Wielandt upper bound
+max_u (Mx)_u / x_u for x the degree vector (Nikiforov, Appl. Anal. Discrete
+Math. 11 (2017)), valid at alpha = 0 and 1 too.  B is widened like the
+enclosures, by the graph's order.  Pass 1 solves the two graphs with the
+largest B (ties by index); pass 2 solves every other graph whose B is at
+least the smaller pass-1 value minus TIE_TOL.  The smaller pass-1 value is
+at most the second-largest value overall, so a graph left out has
+rho <= B < runner-up - TIE_TOL: it cannot be the maximum, the runner-up or
+tied with the maximum, and B, which stands in for its enclosure, lies below
+the maximizer's lower end.  Its value, lower end and residual read -inf and
+its upper end reads B.
+
 The test oracle ``helpers.eig_rho`` is LAPACK too, so it is not independent
 of this solver: independence rests on the closed forms of the families
 (acceptance criterion 01) and on the enclosure, which is checked from the
@@ -37,6 +56,7 @@ import numpy as np
 
 from .graph import Graph, bits, neighbor_degree_sum
 
+TIE_TOL = 1e-8  # values closer than this are reported as tied, not ordered
 RESIDUAL_TOL = 1e-10  # eigh gives at most 7.1e-15 on the shipped class files, 201 alphas
 CERT_TOL = 1e-9  # max allowed gap between matrix and closed-form column sums
 ENCLOSURE_SLACK_ULPS = 8  # per vertex, relative to the enclosure's magnitude
@@ -108,44 +128,91 @@ def _blocks(graphs: Sequence[Graph]) -> list[_Block]:
     ]
 
 
-def _perron(block: _Block, a: float):
-    """(value, x, residual, lower, upper) of A_a on each stacked component;
-    x = |v| has unit 2-norm."""
-    deg = block.deg
-    if a == 1.0:
-        top = deg.max(axis=1)
-        x = (deg == top[:, None]).astype(np.float64)
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        return top, x, np.zeros(len(top)), top, top
-    mat = (1.0 - a) * block.adj
-    diag = np.arange(deg.shape[1])
-    mat[:, diag, diag] += a * deg
-    w, v = np.linalg.eigh(mat)
-    value, x = w[:, -1], np.abs(v[:, :, -1])
-    mx = (mat @ x[:, :, None])[:, :, 0]
-    residual = np.max(np.abs(mx - value[:, None] * x), axis=1)
-    if residual.max() > RESIDUAL_TOL:
-        raise ConvergenceError(float(residual.max()), RESIDUAL_TOL)
-    ratio = np.divide(mx, x, out=np.full_like(mx, np.inf), where=x > 0.0)
-    slack = ENCLOSURE_SLACK_ULPS * len(diag) * np.finfo(np.float64).eps
-    lower, upper = ratio.min(axis=1) * (1 - slack), ratio.max(axis=1) * (1 + slack)
+def _slack(n):
+    """Relative outward widening for n vertices (an int or an array)."""
+    return ENCLOSURE_SLACK_ULPS * n * np.finfo(np.float64).eps
+
+
+def _perron(block: _Block, comp: np.ndarray, a: np.ndarray):
+    """(value, x, residual, lower, upper) of A_a on the components ``comp`` of
+    the block, row i at alpha a[i]; x = |v| has unit 2-norm."""
+    deg = block.deg[comp]
+    value = deg.max(axis=1)  # alpha = 1: A_1 = D
+    x = (deg == value[:, None]).astype(np.float64)
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    residual, lower, upper = np.zeros(len(comp)), value.copy(), value.copy()
+    rows = a < 1.0
+    if rows.any():
+        s = a[rows]
+        mat = (1.0 - s[:, None, None]) * block.adj[comp[rows]]
+        diag = np.arange(deg.shape[1])
+        mat[:, diag, diag] += s[:, None] * deg[rows]
+        w, v = np.linalg.eigh(mat)
+        val, xs = w[:, -1], np.abs(v[:, :, -1])
+        mx = (mat @ xs[:, :, None])[:, :, 0]
+        res = np.max(np.abs(mx - val[:, None] * xs), axis=1)
+        if res.max() > RESIDUAL_TOL:
+            raise ConvergenceError(float(res.max()), RESIDUAL_TOL)
+        ratio = np.divide(mx, xs, out=np.full_like(mx, np.inf), where=xs > 0.0)
+        slack = _slack(len(diag))
+        value[rows], x[rows], residual[rows] = val, xs, res
+        lower[rows], upper[rows] = ratio.min(axis=1) * (1 - slack), ratio.max(axis=1) * (1 + slack)
     return value, x, residual, lower, upper
 
 
-def alpha_indices(graphs: Sequence[Graph], alphas: Sequence[float]) -> AlphaIndices:
-    """Certified alpha-index of every graph at every alpha.
+def _degree_bounds(blocks: list[_Block], count: int, alphas: np.ndarray) -> np.ndarray:
+    """max over vertices u of alpha*d(u) + (1-alpha)*S(u)/d(u), S(u) the sum of
+    the neighbours' degrees, for ``count`` graphs (columns) at each alpha (rows).
+    An isolated vertex contributes 0, so an edgeless graph's bound is 0."""
+    a = alphas[:, None]
+    out = np.zeros((len(alphas), count))
+    for block in blocks:
+        deg, div = block.deg, np.maximum(block.deg, 1.0)
+        nbr = (block.adj @ deg[:, :, None])[:, :, 0]
+        comp = np.zeros((len(alphas), len(deg)))
+        for u in range(deg.shape[1]):
+            np.maximum(comp, a * deg[:, u] + (1.0 - a) * nbr[:, u] / div[:, u], out=comp)
+        np.maximum.at(out, (slice(None), block.owner), comp)
+    return out
 
-    One ``eigh`` call per (alpha, component order): the stack never holds
-    more than one alpha, which keeps the peak memory at one class's worth.
-    """
-    alphas = [validate_alpha(a) for a in alphas]
+
+def _solve(blocks: list[_Block], pick: np.ndarray, alphas: np.ndarray, out: AlphaIndices):
+    """Solve every component of each picked (alpha, graph) entry and fold the
+    components into ``out`` by maximum.  An ``eigh`` call stacks at most as many
+    matrices as the block has components, the size of a one-alpha stack."""
+    for block in blocks:
+        rows, comp = np.nonzero(pick[:, block.owner])
+        size = len(block.owner)
+        for s in range(0, len(rows), size):
+            r, c = rows[s:s + size], comp[s:s + size]
+            val, _, res, lo, hi = _perron(block, c, alphas[r])
+            for arr, part in zip(out, (val, res, lo, hi)):
+                np.maximum.at(arr, (r, block.owner[c]), part)
+
+
+def alpha_indices(graphs: Sequence[Graph], alphas: Sequence[float]) -> AlphaIndices:
+    """Certified alpha-index of every graph that can come first or second at
+    each alpha; every other entry is pruned (see the module docstring)."""
+    alphas = np.array([validate_alpha(a) for a in alphas], dtype=np.float64)
     blocks = _blocks(graphs)
     out = AlphaIndices(*(np.full((len(alphas), len(graphs)), -np.inf) for _ in range(4)))
-    for i, a in enumerate(alphas):
-        for block in blocks:
-            val, _, res, lo, hi = _perron(block, a)
-            for arr, part in zip(out, (val, res, lo, hi)):
-                np.maximum.at(arr[i], block.owner, part)
+    if not graphs:
+        return out
+    order = np.array([g.n for g in graphs])
+    bound = _degree_bounds(blocks, len(graphs), alphas) * (1 + _slack(order))
+    rows = np.arange(len(alphas))
+    first = bound.argmax(axis=1)
+    rest = bound.copy()
+    rest[rows, first] = -np.inf
+    second = rest.argmax(axis=1)
+    picked = np.zeros(bound.shape, dtype=bool)
+    picked[rows, first] = picked[rows, second] = True
+    _solve(blocks, picked, alphas, out)
+    runner_up = np.minimum(out.value[rows, first], out.value[rows, second])
+    todo = (bound >= (runner_up - TIE_TOL)[:, None]) & ~picked
+    _solve(blocks, todo, alphas, out)
+    pruned = ~(picked | todo)
+    out.upper[pruned] = bound[pruned]
     return out
 
 
@@ -159,7 +226,10 @@ def spectral_radius(g: Graph, alpha: float) -> SpectralResult:
     embedded in R^n; the first component (by least vertex) wins ties.
     """
     a = validate_alpha(alpha)
-    comps = [c for b in _blocks([g]) for c in zip(b.masks, *_perron(b, a))]
+    comps = []
+    for b in _blocks([g]):
+        every = np.arange(len(b.masks))
+        comps += zip(b.masks, *_perron(b, every, np.full(len(every), a)))
     comps.sort(key=lambda c: c[0] & -c[0])  # by least vertex
     mask, radius, x, residual, _, _ = max(comps, key=lambda c: c[1])
     vec = np.zeros(g.n)
@@ -180,10 +250,7 @@ def bound_upper_degree(g: Graph, alpha: float) -> float:
     a = validate_alpha(alpha)
     if g.min_degree() < 1:
         raise ValueError("degree bound needs minimum degree >= 1")
-    return max(
-        a * g.degree(u) + (1.0 - a) * neighbor_degree_sum(g, u) / g.degree(u)
-        for u in range(g.n)
-    )
+    return float(_degree_bounds(_blocks([g]), 1, np.array([a]))[0, 0])
 
 
 def bound_upper_edge(g: Graph, alpha: float) -> float:

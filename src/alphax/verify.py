@@ -31,11 +31,10 @@ from .graph import Graph, all_cycles
 from .graph6 import write_graph6
 # spectral_radius is unused here but stays a name of this module, where
 # bench/tracer.py looks it up.
-from .spectral import alpha_indices, spectral_radius  # noqa: F401
+from .spectral import TIE_TOL, alpha_indices, spectral_radius  # noqa: F401
 
 TOOL_NAME = "alphax"
 TOOL_VERSION = __version__
-TIE_TOL = 1e-8
 VALUE_TOL = 1e-8
 REPORT_HEADER = {"tool": TOOL_NAME, "version": TOOL_VERSION}
 RENAMED_KEYS = {"class_name": "class"}
@@ -103,22 +102,52 @@ CSV_COLUMNS = [*REPORT_HEADER,
                *(RENAMED_KEYS.get(f.name, f.name) for f in fields(SearchReport))]
 
 
+def _encoded_rows(reports, scalar, sequence):
+    """Each report's ``to_dict()`` with every value encoded, lists by
+    ``sequence`` and once per distinct (key, list): the alpha grid repeats in
+    every row.  Equal lists can encode differently ((1,) == (1.0,) and
+    (0.0,) == (-0.0,)), so the memo is keyed by field: SearchReport fixes each
+    list's item type, and its alphas lie in [1/2, 1)."""
+    memo = {}
+    for r in reports:
+        row = r.to_dict()
+        for key, value in row.items():
+            if isinstance(value, list):
+                memo_key = (key, tuple(value))
+                if memo_key not in memo:
+                    memo[memo_key] = sequence(value)
+                row[key] = memo[memo_key]
+            else:
+                row[key] = scalar(key, value)
+        yield row
+
+
+def _json_list(items) -> str:
+    """A list as ``json.dumps(..., indent=2)`` lays it out as a row's value."""
+    if not items:
+        return "[]"
+    return "[\n      " + ",\n      ".join(map(json.dumps, items)) + "\n    ]"
+
+
 def reports_to_json(reports) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
+    """Exactly ``json.dumps([r.to_dict() for r in reports], indent=2) + "\\n"``."""
+    keys = {k: json.dumps(k) for k in CSV_COLUMNS}
+    rows = [
+        "  {\n" + ",\n".join(f"    {keys[k]}: {v}" for k, v in row.items()) + "\n  }"
+        for row in _encoded_rows(reports, lambda _, v: json.dumps(v), _json_list)
+    ]
+    return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
+
+
+def _csv_scalar(key: str, value):
+    return f"{value:.9g}" if key in ROUNDED_KEYS and value is not None else value
 
 
 def reports_to_csv(reports) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
-    for r in reports:
-        row = r.to_dict()
-        for key, value in row.items():
-            if isinstance(value, list):
-                row[key] = ";".join(map(str, value))
-            elif key in ROUNDED_KEYS and value is not None:
-                row[key] = f"{value:.9g}"
-        writer.writerow(row)
+    writer.writerows(_encoded_rows(reports, _csv_scalar, lambda v: ";".join(map(str, v))))
     return buf.getvalue()
 
 

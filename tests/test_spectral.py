@@ -13,6 +13,7 @@ from alphax.graph import Graph, neighbor_degree_sum, pair_list
 from alphax.graph6 import parse_graph6_lines
 from alphax.spectral import (
     CERT_TOL,
+    TIE_TOL,
     ConvergenceError,
     alpha_indices,
     bound_lower_delta,
@@ -162,15 +163,41 @@ def test_enclosure_contains_eigvalsh(g, alpha):
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.lists(small_graphs(), min_size=1, max_size=6))
+# C_6 is pruned, and eigvalsh puts its alpha-index 1 ulp above 2, the exact bound
+@example([make_complete(8), make_complete(7), make_cycle(6)])
 def test_batched_solve_matches_single_graph_view(graphs):
     out = alpha_indices(graphs, PROPERTY_ALPHAS)
     assert out.value.shape == (len(PROPERTY_ALPHAS), len(graphs))
     for i, a in enumerate(PROPERTY_ALPHAS):
+        solved = np.isfinite(out.value[i])
+        assert solved.sum() >= min(2, len(graphs))
+        runner_up = np.sort(out.value[i])[-min(2, len(graphs))]
         for j, g in enumerate(graphs):
-            res = spectral_radius(g, a)
-            got = (out.value[i, j], out.lower[i, j], out.upper[i, j])
-            assert np.allclose(got, (res.radius, res.lower, res.upper), rtol=0, atol=1e-12)
-            assert out.residual[i, j] >= res.residual
+            assert out.upper[i, j] >= eig_rho(g, a)
+            if solved[j]:
+                res = spectral_radius(g, a)
+                got = (out.value[i, j], out.lower[i, j], out.upper[i, j])
+                assert np.allclose(got, (res.radius, res.lower, res.upper), rtol=0, atol=1e-12)
+                assert out.residual[i, j] >= res.residual
+            else:
+                assert out.upper[i, j] < runner_up - TIE_TOL
+                assert out.value[i, j] == out.lower[i, j] == -np.inf
+
+
+def test_only_contenders_are_solved(monkeypatch):
+    members = parse_graph6_lines(DATA_FILE.read_text())
+    stacks = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(mat):
+        stacks.append(len(mat))
+        return eigh(mat)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    out = alpha_indices(members, [0.5 + i / 256 for i in range(128)])
+    # 384 of 128 * 23 = 2,944 (alpha, member) pairs: every member is connected
+    assert sum(stacks) == np.isfinite(out.value).sum() == 384
+    assert max(stacks) <= len(members)  # no stack above one alpha's worth
 
 
 def test_alpha_one_is_max_degree_with_exact_enclosure():
@@ -183,11 +210,12 @@ def test_alpha_one_is_max_degree_with_exact_enclosure():
 
 
 def test_enclosures_are_tight_on_the_shipped_class():
-    members = parse_graph6_lines(DATA_FILE.read_text())
-    out = alpha_indices(members, [0.5, 0.75, 0.99])
-    width = out.upper - out.lower
-    assert np.all(width >= 0) and np.max(width / out.value) < 1e-6
-    assert np.all(out.lower <= out.value) and np.all(out.value <= out.upper)
+    # a one-graph call solves its graph at every alpha
+    for g in parse_graph6_lines(DATA_FILE.read_text()):
+        out = alpha_indices([g], [0.5, 0.75, 0.99])
+        width = out.upper - out.lower
+        assert np.all(width >= 0) and np.max(width / out.value) < 1e-6
+        assert np.all(out.lower <= out.value) and np.all(out.value <= out.upper)
 
 
 def test_known_radii():

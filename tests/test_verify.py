@@ -4,12 +4,14 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from alphax import verify
 from alphax.enumeration import ClassFilter, generation_notes
 from alphax.families import make_friendship, rho_friendship
 from alphax.graph6 import parse_graph6_lines, write_graph6
+from alphax.spectral import TIE_TOL, alpha_indices
 
 from helpers import make_report
 
@@ -139,6 +141,50 @@ def test_golden_csv_reproduced_byte_for_byte(golden_reports):
     got = verify.reports_to_csv(golden_reports)
     assert got.count("\n") == 1 + len(GOLDEN_ALPHAS)
     assert blank(got) == blank(GOLDEN_CSV.read_text())
+
+
+ORACLE_ALPHAS = tuple(0.5 + i / 128 for i in range(64))
+
+
+@pytest.mark.parametrize("target,n,path", [
+    ("thm11-even", 8, "data/min2ec_n8.g6"),
+    ("thm11-odd", 9, "data/min2ec_n9.g6"),
+    ("thm11-even", 10, "data/min2ec_n10.g6"),
+    ("thm12", 8, "tests/data/min3c_n8.g6"),
+])
+def test_pruned_solve_reports_what_solving_every_member_alone_gives(target, n, path):
+    members = verify.ingest_class(
+        parse_graph6_lines((ROOT / path).read_text()), n, verify.THEOREMS[target].flt)
+    reports = verify.verify_theorem(target, n, ORACLE_ALPHAS, source_graphs=members)
+    # a one-graph call solves its graph at every alpha
+    alone = [alpha_indices([g], ORACLE_ALPHAS) for g in members]
+    value, lower, upper = (np.hstack([getattr(x, f) for x in alone])
+                           for f in ("value", "lower", "upper"))
+    assert np.all(np.isfinite(value))
+    for row, rep in enumerate(reports):
+        values = value[row].tolist()
+        best = values.index(max(values))
+        others = values[:best] + values[best + 1:]
+        assert rep.argmax_canonical == write_graph6(members[best])
+        assert rep.max_value == values[best]
+        assert rep.runner_up_value == max(others)
+        assert rep.ties_within_tolerance == sum(v > values[best] - TIE_TOL for v in others)
+        assert rep.certified_unique == verify.certified_unique(lower[row], upper[row], best)
+
+
+def test_json_writer_is_json_dumps():
+    members = parse_graph6_lines((ROOT / "data" / "min2ec_n8.g6").read_text())
+    odd = verify.verify_theorem("thm11-odd", 7, (0.5, 0.75))
+    assert odd[0].pruning
+    for reports in (
+        verify.verify_theorem("thm11-even", 8, tuple(0.5 + i / 256 for i in range(128)),
+                              source_graphs=members),
+        odd,
+        [make_report(runner_up_value=None, spectral_gap=None)],
+        [],
+    ):
+        want = json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
+        assert verify.reports_to_json(reports) == want
 
 
 @pytest.mark.parametrize("target", ["thm11-odd", "thm12"])
