@@ -2,7 +2,7 @@
 
 import os
 
-# No matrix here exceeds 12x12, so BLAS worker threads only cost start-up CPU;
+# No matrix here exceeds 64x64, so BLAS worker threads only cost start-up CPU;
 # set before numpy is first imported, and a value the user set still wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -29,8 +29,6 @@ from .families import (
     make_path,
     make_wheel,
     parse_family_spec,
-    rho_complete_bipartite,
-    rho_friendship,
     rho_join_regular,
 )
 from .graph import Graph, all_cycles, neighbor_degree_sum, parse_edge_list

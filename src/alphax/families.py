@@ -23,34 +23,33 @@ from .spectral import validate_alpha
 def make_path(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs n >= 1")
-    return Graph.from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph.from_edge_list(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def make_cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
-    return Graph.from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph.from_edge_list(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def make_complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
-    return Graph.from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Graph.from_edge_list(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def make_complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise ValueError("complete bipartite graph needs both sides non-empty")
-    return Graph.from_edge_list(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    return Graph.from_edge_list(a + b, ((i, a + j) for i in range(a) for j in range(b)))
 
 
 def make_wheel(n: int) -> Graph:
     """Wheel on n vertices: a hub joined to a cycle on n-1 vertices."""
     if n < 4:
         raise ValueError("wheel needs n >= 4")
-    edges = [(0, i) for i in range(1, n)]
-    edges += [(i, i + 1) for i in range(1, n - 1)]
-    edges.append((n - 1, 1))
+    # spoke 0-i and rim edge i-(i+1), the rim closing from n-1 back to 1
+    edges = (e for i in range(1, n) for e in ((0, i), (i, i % (n - 1) + 1)))
     return Graph.from_edge_list(n, edges)
 
 
@@ -58,10 +57,7 @@ def make_friendship(k: int) -> Graph:
     """Friendship graph F_k: k triangles sharing one hub, 2k+1 vertices."""
     if k < 1:
         raise ValueError("friendship graph needs k >= 1")
-    edges = []
-    for i in range(k):
-        a, b = 2 * i + 1, 2 * i + 2
-        edges += [(0, a), (0, b), (a, b)]
+    edges = (e for a in range(1, 2 * k, 2) for e in ((0, a), (0, a + 1), (a, a + 1)))
     return Graph.from_edge_list(2 * k + 1, edges)
 
 
@@ -93,9 +89,12 @@ def parse_family_spec(spec: str) -> Graph:
 
 # -- closed forms ----------------------------------------------------------
 #
-# Each is the largest root of a quadratic.  The larger root of
-# x^2 - T x + D = 0 with T > 0 is evaluated as (T + sqrt(T^2 - 4D)) / 2,
-# which has no cancellation; only the smaller root would need the D/x trick.
+# Every extremal family of the theorems is a join of two regular graphs:
+# F_k = K_1 v kK_2, K_{p,q} = pK_1 v qK_1, W_n = K_1 v C_{n-1}.  Its
+# alpha-index is the larger root of the 2x2 equitable quotient's
+# x^2 - T x + D = 0, evaluated as (T + sqrt(T^2 - 4D)) / 2 with
+# T^2 - 4D = (t11 - t22)^2 + 4 cross: a square plus a nonnegative product, so
+# nothing cancels.
 
 
 def rho_join_regular(r1: int, n1: int, r2: int, n2: int, alpha: float) -> float:
@@ -107,30 +106,10 @@ def rho_join_regular(r1: int, n1: int, r2: int, n2: int, alpha: float) -> float:
     """
     a = validate_alpha(alpha)
     for r, n in ((r1, n1), (r2, n2)):
-        if n < 1 or not 0 <= r < n:
+        if n < 1 or not 0 <= r < n or r * n % 2:
             raise ValueError(f"invalid regular part: degree {r} on {n} vertices")
     t11 = r1 + a * n2
     t22 = r2 + a * n1
-    cross = (1.0 - a) ** 2 * n1 * n2
+    cross = (1.0 - a) ** 2 * (n1 * n2)  # exactly symmetric in the two parts
     disc = (t11 - t22) ** 2 + 4.0 * cross
     return 0.5 * (t11 + t22 + math.sqrt(disc))
-
-
-def rho_complete_bipartite(a_side: int, b_side: int, alpha: float) -> float:
-    """alpha-index of K_{a,b}; the sides may be given in either order."""
-    a = validate_alpha(alpha)
-    p, q = (a_side, b_side) if a_side >= b_side else (b_side, a_side)
-    if q < 1:
-        raise ValueError("complete bipartite graph needs both sides non-empty")
-    # discriminant written as a^2 (p-q)^2 + 4 (1-a)^2 p q, nonnegative by inspection
-    disc = (a * (p - q)) ** 2 + 4.0 * (1.0 - a) ** 2 * p * q
-    return 0.5 * (a * (p + q) + math.sqrt(disc))
-
-
-def rho_friendship(n: int, alpha: float) -> float:
-    """alpha-index of the friendship graph of odd order n = 2k+1."""
-    a = validate_alpha(alpha)
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"friendship graph order must be odd and >= 3, got {n}")
-    disc = (a * n) ** 2 - 10.0 * a * n + 12.0 * a + 4.0 * n - 3.0
-    return 0.5 * (a * n + 1.0 + math.sqrt(max(disc, 0.0)))

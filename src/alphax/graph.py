@@ -39,6 +39,11 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _check_order(n: int) -> None:
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside supported range 1..{MAX_VERTICES}")
+
+
 def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
@@ -54,8 +59,7 @@ class Graph:
     __slots__ = ("n", "m", "_adj")
 
     def __init__(self, n: int, adj: tuple[int, ...]):
-        if not 1 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {n} outside supported range 1..{MAX_VERTICES}")
+        _check_order(n)
         if len(adj) != n:
             raise ValueError("adjacency row count does not match n")
         full = (1 << n) - 1
@@ -90,7 +94,9 @@ class Graph:
 
     @classmethod
     def from_edge_list(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from (u, v) pairs; duplicates collapse, loops are errors."""
+        """Build a graph from (u, v) pairs; duplicates collapse, loops are errors.
+        The order is checked before ``edges`` is read."""
+        _check_order(n)
         adj = [0] * n
         for u, v in edges:
             if u == v:

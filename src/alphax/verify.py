@@ -184,7 +184,7 @@ THEOREMS = {
         lambda n: n >= 7 and n % 2 == 1,
         "odd-order check needs odd n >= 7, got {n}",
         lambda n: families.make_friendship((n - 1) // 2),
-        families.rho_friendship,
+        lambda n, a: families.rho_join_regular(0, 1, 1, n - 1, a),
     ),
     # Theorem 1.1, even order: K_{2,n-2}
     "thm11-even": Theorem(
@@ -192,7 +192,7 @@ THEOREMS = {
         lambda n: n >= 8 and n % 2 == 0,
         "even-order check needs even n >= 8, got {n}",
         lambda n: families.make_complete_bipartite(2, n - 2),
-        lambda n, a: families.rho_complete_bipartite(2, n - 2, a),
+        lambda n, a: families.rho_join_regular(0, 2, 0, n - 2, a),
     ),
     # Theorem 1.2: the wheel W_n over minimally 3-connected graphs
     "thm12": Theorem(

@@ -21,8 +21,6 @@ from alphax.families import (
     make_complete_bipartite,
     make_friendship,
     make_wheel,
-    rho_complete_bipartite,
-    rho_friendship,
     rho_join_regular,
 )
 from alphax.spectral import (
@@ -70,12 +68,12 @@ def test_criterion_01_closed_forms_match_solver():
     worst = 0.0
     cases = 0
     for b, a in itertools.product(range(2, 11), grid):
-        got = rho_complete_bipartite(2, b, a)
+        got = rho_join_regular(0, 2, 0, b, a)
         ref = spectral_radius(make_complete_bipartite(2, b), a).radius
         worst = max(worst, abs(got - ref))
         cases += 1
     for n, a in itertools.product((3, 5, 7, 9, 11), grid):
-        got = rho_friendship(n, a)
+        got = rho_join_regular(0, 1, 1, n - 1, a)
         ref = spectral_radius(make_friendship((n - 1) // 2), a).radius
         worst = max(worst, abs(got - ref))
         cases += 1
@@ -89,8 +87,8 @@ def test_criterion_01_closed_forms_match_solver():
     assert elapsed < 5.0
     # anchor values
     assert abs(rho_join_regular(0, 1, 2, 6, 0.5) - 4.0) <= 1e-8
-    assert abs(rho_complete_bipartite(2, 6, 0.5) - 4.0) <= 1e-8
-    assert abs(rho_friendship(7, 0.5) - 3.6861407) <= 5e-8
+    assert abs(rho_join_regular(0, 2, 0, 6, 0.5) - 4.0) <= 1e-8
+    assert abs(rho_join_regular(0, 1, 1, 6, 0.5) - 3.6861407) <= 5e-8
     print(f"criterion 01 closed forms: PASS ({cases} cases, worst gap {worst:.2e}, {elapsed:.2f}s)")
 
 
@@ -101,7 +99,7 @@ def test_criterion_02_odd_order_maximizer_is_friendship():
         assert rep.class_size == 11
         assert rep.argmax_matches_expected is True
         assert rep.ties_within_tolerance == 0
-        assert abs(rep.max_value - rho_friendship(7, rep.alpha)) <= 1e-8
+        assert abs(rep.max_value - rho_join_regular(0, 1, 1, 6, rep.alpha)) <= 1e-8
     print("criterion 02 odd order n=7: PASS (unique maximizer F_3 at alpha 0.5/0.7/0.9)")
 
 
@@ -124,7 +122,7 @@ def test_criterion_04_even_order_both_paths_agree(min2ec8_members, n8_reports_bu
         assert rep.argmax_matches_expected is True
         assert rep.ties_within_tolerance == 0
         assert rep.argmax_canonical == want
-        assert abs(rep.max_value - rho_complete_bipartite(2, 6, rep.alpha)) <= 1e-8
+        assert abs(rep.max_value - rho_join_regular(0, 2, 0, 6, rep.alpha)) <= 1e-8
     assert builtin[0].class_size == 23
 
     # the shipped class file must be byte-identical to a fresh built-in scan

@@ -380,3 +380,30 @@ def test_family_spec_errors_name_the_family_problem(capsys, token, message):
     code, _, err = run(capsys, "rho", token)
     assert code == 64
     assert err == f"alphax: error: {message}\n"
+
+
+def _cap_address_space():
+    import resource
+    cap = 2 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+@pytest.mark.parametrize("token,n", [
+    ("K100000", 100000),
+    ("P1000000000", 1000000000),
+    ("K2,1000000000", 1000000002),
+    ("F1000000000", 2000000001),
+    ("huge.edges", 1000000000000),
+])
+def test_oversized_order_exits_64_before_allocating(tmp_path, token, n):
+    # a capped address space turns building the edge list first into a
+    # MemoryError instead of an exhausted host
+    if token.endswith(".edges"):
+        token = str(tmp_path / token)
+        Path(token).write_text("1000000000000 0\n")
+    out = subprocess.run(
+        [sys.executable, "-m", "alphax.cli", "rho", token, "--alphas", "0.5"],
+        capture_output=True, text=True, preexec_fn=_cap_address_space,
+    )
+    assert out.returncode == 64
+    assert out.stderr == f"alphax: error: vertex count {n} outside supported range 1..64\n"

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -10,8 +11,6 @@ from alphax.families import (
     make_path,
     make_wheel,
     parse_family_spec,
-    rho_complete_bipartite,
-    rho_friendship,
     rho_join_regular,
 )
 
@@ -74,46 +73,50 @@ def test_join_and_union_layout():
 # -- closed forms ----------------------------------------------------------
 
 
+def check_join_formula(cases, alpha):
+    """rho_join_regular on each (r1, n1, r2, n2, graph) against eigvalsh, and
+    exactly equal with its parts swapped."""
+    for r1, n1, r2, n2, g in cases:
+        got = rho_join_regular(r1, n1, r2, n2, alpha)
+        assert abs(got - eig_rho(g, alpha)) < 1e-10
+        assert rho_join_regular(r2, n2, r1, n1, alpha) == got
+
+
 @pytest.mark.parametrize("alpha", GRID)
 def test_join_formula_on_wheels(alpha):
-    for n in range(4, 10):
-        want = eig_rho(make_wheel(n), alpha)
-        got = rho_join_regular(0, 1, 2, n - 1, alpha)
-        assert abs(got - want) < 1e-10
+    # W_n = K_1 v C_{n-1}
+    check_join_formula([(0, 1, 2, n - 1, make_wheel(n)) for n in range(4, 10)], alpha)
 
 
 @pytest.mark.parametrize("alpha", GRID)
 def test_join_formula_on_regular_joins(alpha):
-    # C_4 v C_3 and K_2 v C_5 exercise nontrivial r1, n1 combinations
-    cases = [
+    # K_{3,n-3}, C_4 v C_3 and K_2 v C_5 exercise nontrivial r1, n1 combinations
+    cases = [(0, 3, 0, n - 3, make_complete_bipartite(3, n - 3)) for n in range(4, 10)]
+    cases += [
         (2, 4, 2, 3, join(make_cycle(4), make_cycle(3))),
         (1, 2, 2, 5, join(make_complete(2), make_cycle(5))),
     ]
-    for r1, n1, r2, n2, g in cases:
-        assert abs(rho_join_regular(r1, n1, r2, n2, alpha) - eig_rho(g, alpha)) < 1e-10
+    check_join_formula(cases, alpha)
 
 
 @pytest.mark.parametrize("alpha", GRID)
 def test_bipartite_formula(alpha):
-    for p, q in [(1, 1), (1, 4), (2, 6), (3, 3), (4, 7)]:
-        want = eig_rho(make_complete_bipartite(p, q), alpha)
-        assert abs(rho_complete_bipartite(p, q, alpha) - want) < 1e-10
-        assert rho_complete_bipartite(q, p, alpha) == rho_complete_bipartite(p, q, alpha)
+    # K_{p,q} = pK_1 v qK_1
+    pairs = [(1, 1), (1, 4), (2, 6), (3, 3), (4, 7)]
+    check_join_formula([(0, p, 0, q, make_complete_bipartite(p, q)) for p, q in pairs], alpha)
 
 
 @pytest.mark.parametrize("alpha", GRID)
 def test_friendship_formula(alpha):
-    for k in (1, 2, 3, 5):
-        n = 2 * k + 1
-        want = eig_rho(make_friendship(k), alpha)
-        assert abs(rho_friendship(n, alpha) - want) < 1e-10
+    # F_k = K_1 v kK_2
+    check_join_formula([(0, 1, 1, 2 * k, make_friendship(k)) for k in (1, 2, 3, 5)], alpha)
 
 
 def test_friendship_known_values():
-    assert abs(rho_friendship(7, 0.5) - (4.5 + math.sqrt(8.25)) / 2) < 1e-12
-    assert abs(rho_friendship(7, 0.5) - 3.6861407) < 1e-7
+    assert abs(rho_join_regular(0, 1, 1, 6, 0.5) - (4.5 + math.sqrt(8.25)) / 2) < 1e-12
+    assert abs(rho_join_regular(0, 1, 1, 6, 0.5) - 3.6861407) < 1e-7
     # honest evaluation of the same closed form at alpha = 3/4
-    assert abs(rho_friendship(7, 0.75) - 4.6301993) < 1e-7
+    assert abs(rho_join_regular(0, 1, 1, 6, 0.75) - 4.6301993) < 1e-7
 
 
 def test_wheel_known_values():
@@ -123,13 +126,48 @@ def test_wheel_known_values():
 
 def test_formula_validation():
     with pytest.raises(ValueError):
-        rho_friendship(6, 0.5)  # even order
+        rho_join_regular(0, 1, 1, 5, 0.5)  # no 1-regular graph on 5 vertices
     with pytest.raises(ValueError):
-        rho_friendship(1, 0.5)
+        rho_join_regular(0, 0, 0, 3, 0.5)  # empty side
     with pytest.raises(ValueError):
-        rho_complete_bipartite(0, 3, 0.5)
+        rho_join_regular(0, 1, 1, 0, 0.5)
     with pytest.raises(ValueError):
         rho_join_regular(2, 2, 1, 2, 0.5)  # r1 >= n1
+
+
+def quotient(parts, alpha):
+    """(T, D) of x^2 - T x + D, the 2x2 quotient's polynomial for the join of
+    an r1-regular graph on n1 vertices and an r2-regular one on n2."""
+    (r1, n1), (r2, n2) = parts
+    t = r1 + r2 + alpha * (n1 + n2)
+    d = (r1 + alpha * n2) * (r2 + alpha * n1) - (1 - alpha) ** 2 * n1 * n2
+    return t, d
+
+
+# (family leading below alpha*, family leading above, orders, alpha*(n));
+# each family is given by its two regular parts (degree, order)
+CROSSOVERS = [
+    (lambda n: ((0, 2), (0, n - 2)), lambda n: ((0, 1), (1, n - 1)), range(7, 60, 2),
+     lambda n: Fraction(n * n - 8 * n + 13, (n - 5) * (2 * n - 5))),
+    (lambda n: ((0, 3), (0, n - 3)), lambda n: ((0, 1), (2, n - 1)), range(8, 60),
+     lambda n: Fraction(n * n - 11 * n + 25, (n - 7) * (2 * n - 7))),
+]
+
+
+@pytest.mark.parametrize("low,high,orders,crossover", CROSSOVERS,
+                         ids=["K2-vs-friendship", "K3-vs-wheel"])
+def test_family_crossovers_are_exact(low, high, orders, crossover):
+    rho = lambda parts, alpha: rho_join_regular(*parts[0], *parts[1], alpha)
+    for n in orders:
+        a = crossover(n)
+        (t1, d1), (t2, d2) = quotient(low(n), a), quotient(high(n), a)
+        # the common root of both quotient polynomials is the larger root of each
+        x = (d1 - d2) / (t1 - t2)
+        for t, d in ((t1, d1), (t2, d2)):
+            assert x * x - t * x + d == 0 and 2 * x >= t
+        below, above = float(a) - 1e-6, float(a) + 1e-6
+        assert rho(low(n), below) > rho(high(n), below)
+        assert rho(low(n), above) < rho(high(n), above)
 
 
 # -- family spec strings ---------------------------------------------------

@@ -23,6 +23,15 @@ def test_from_edge_list_basic():
     assert g.neighbors(1) == [0, 2]
 
 
+def test_from_edge_list_checks_the_order_before_reading_edges():
+    def edges():
+        raise AssertionError("edges read for an oversized order")
+        yield (0, 1)
+
+    with pytest.raises(ValueError, match="vertex count 65 outside supported range 1..64"):
+        Graph.from_edge_list(65, edges())
+
+
 def test_from_edge_list_collapses_duplicates():
     g = Graph.from_edge_list(3, [(0, 1), (1, 0), (0, 1)])
     assert g.m == 1

@@ -9,19 +9,24 @@ import pytest
 
 from alphax import verify
 from alphax.enumeration import ClassFilter, generation_notes
-from alphax.families import make_friendship, rho_friendship
+from alphax.families import make_friendship, rho_join_regular
 from alphax.graph6 import parse_graph6_lines, write_graph6
 from alphax.spectral import TIE_TOL, alpha_indices
 
 from helpers import make_report
 
 ROOT = Path(__file__).resolve().parent.parent
-# verify thm11-even --n 8 --in data/min2ec_n8.g6 over this grid, written by
-# the power-iteration solver that preceded the batched eigh solve
-GOLDEN_REPORT = ROOT / "tests" / "data" / "thm11_even_n8.json"
-# the same run written with --out as CSV, by the code that listed the report
-# keys by hand before they were derived from SearchReport's fields
-GOLDEN_CSV = ROOT / "tests" / "data" / "thm11_even_n8.csv"
+# Each golden run over GOLDEN_ALPHAS, as (theorem, n, class file or None for
+# the built-in generator, file stem under tests/data).  The thm11-even JSON
+# was written by the power-iteration solver that preceded the batched eigh
+# solve, its CSV by the code that listed the report keys by hand before they
+# were derived from SearchReport's fields.  The other two were written by the
+# code that still kept a separate closed form for F_k and K_{p,q}.
+GOLDEN_RUNS = [
+    ("thm11-even", 8, "data/min2ec_n8.g6", "thm11_even_n8"),
+    ("thm11-odd", 7, None, "thm11_odd_n7"),
+    ("thm12", 7, None, "thm12_n7"),
+]
 GOLDEN_ALPHAS = (0.5, 0.53, 0.56, 0.59, 0.62, 0.65, 0.68, 0.71,
                  0.74, 0.77, 0.8, 0.83, 0.86, 0.89, 0.92, 0.95)
 
@@ -101,7 +106,7 @@ def test_verify_theorem_basic_report():
     assert rep.class_size == 11
     assert rep.argmax_matches_expected is True
     assert rep.ties_within_tolerance == 0
-    assert abs(rep.max_value - rho_friendship(7, 0.6)) < 1e-8
+    assert abs(rep.max_value - rho_join_regular(0, 1, 1, 6, 0.6)) < 1e-8
     assert rep.expected_canonical == rep.argmax_canonical
     assert rep.spectral_gap is not None and rep.spectral_gap > 0
     assert rep.source == "builtin"
@@ -118,29 +123,33 @@ def test_verify_theorem_deterministic_output():
     assert ja == jb
 
 
-@pytest.fixture(scope="module")
-def golden_reports():
-    members = parse_graph6_lines((ROOT / "data" / "min2ec_n8.g6").read_text())
-    return verify.verify_theorem("thm11-even", 8, GOLDEN_ALPHAS, source_graphs=members)
+@pytest.fixture(scope="module", params=GOLDEN_RUNS, ids=lambda run: run[3])
+def golden(request):
+    """(reports, file stem) of one golden run."""
+    name, n, path, stem = request.param
+    members = parse_graph6_lines((ROOT / path).read_text()) if path else None
+    return verify.verify_theorem(name, n, GOLDEN_ALPHAS, source_graphs=members), stem
 
 
-def test_golden_report_reproduced_byte_for_byte(golden_reports):
-    assert all(r.certified_unique for r in golden_reports)
+def test_golden_report_reproduced_byte_for_byte(golden):
+    reports, stem = golden
+    assert all(r.certified_unique for r in reports)
     rows = [
         {k: v for k, v in r.to_dict().items() if k != "certified_unique"}
-        for r in golden_reports
+        for r in reports
     ]
     zero = lambda text: re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', text)
     got = zero(json.dumps(rows, indent=2) + "\n")
-    assert got == zero(GOLDEN_REPORT.read_text())
+    assert got == zero((ROOT / "tests" / "data" / f"{stem}.json").read_text())
 
 
-def test_golden_csv_reproduced_byte_for_byte(golden_reports):
+def test_golden_csv_reproduced_byte_for_byte(golden):
+    reports, stem = golden
     # runtime_ms is the last column: blank it on every data row
     blank = lambda text: re.sub(r",\d+$", ",", text, flags=re.M)
-    got = verify.reports_to_csv(golden_reports)
+    got = verify.reports_to_csv(reports)
     assert got.count("\n") == 1 + len(GOLDEN_ALPHAS)
-    assert blank(got) == blank(GOLDEN_CSV.read_text())
+    assert blank(got) == blank((ROOT / "tests" / "data" / f"{stem}.csv").read_text())
 
 
 ORACLE_ALPHAS = tuple(0.5 + i / 128 for i in range(64))
