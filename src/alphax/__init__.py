@@ -8,7 +8,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"  # the one version source: pyproject and reports read it
 
-from .canonical import CanonicalForm, CapabilityError, canonical_form
+from .canonical import CanonicalForm, canonical_form
 from .connectivity import (
     ClassMembership,
     classify,

@@ -154,8 +154,7 @@ def _cmd_enumerate(args) -> int:
     if args.infile and not members:
         raise UsageError(f"no {flt.describe()} graph on {args.n} vertices in {args.infile}")
     _write_text(write_graph6_lines(members), args.out)
-    noun = "graph" if len(members) == 1 else "graphs"
-    print(f"{flt.describe()} n={args.n}: {len(members)} {noun}", file=sys.stderr)
+    print(f"{flt.describe()} n={args.n}: {_count(members, 'graph')}", file=sys.stderr)
     return 0
 
 
@@ -280,7 +279,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        # usage, graph6 and capability errors are ValueErrors; OSError covers
+        # usage, graph6 and built-in range errors are ValueErrors; OSError covers
         # unreadable inputs and unwritable outputs
         print(f"alphax: error: {exc}", file=sys.stderr)
         return USAGE_EXIT

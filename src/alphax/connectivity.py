@@ -60,9 +60,9 @@ def _vertex_pair_schedule(g: Graph) -> list[tuple[int, int]]:
     """Non-adjacent probe pairs that are guaranteed to witness a minimum cut."""
     n = g.n
     v = min(range(n), key=g.degree)
-    full = (1 << n) - 1
-    pairs = [(v, t) for t in bits(full & ~g.closed_neighbors_mask(v))]
-    nbrs = g.neighbors(v)
+    row = g.adjacency_rows()[v]
+    pairs = [(v, t) for t in bits(((1 << n) - 1) & ~(row | 1 << v))]
+    nbrs = list(bits(row))
     for a_pos, a in enumerate(nbrs):
         for b in nbrs[a_pos + 1:]:
             if not g.has_edge(a, b):

@@ -131,15 +131,6 @@ class Graph:
     def adjacency_rows(self) -> tuple[int, ...]:
         return self._adj
 
-    def neighbors_mask(self, u: int) -> int:
-        return self._adj[u]
-
-    def neighbors(self, u: int) -> list[int]:
-        return list(bits(self._adj[u]))
-
-    def closed_neighbors_mask(self, u: int) -> int:
-        return self._adj[u] | (1 << u)
-
     def degree(self, u: int) -> int:
         return self._adj[u].bit_count()
 
@@ -232,7 +223,7 @@ class Graph:
 
 def neighbor_degree_sum(g: Graph, u: int) -> int:
     """Sum of deg(v) over neighbours v of u (0 for an isolated vertex)."""
-    return sum(g.degree(v) for v in bits(g.neighbors_mask(u)))
+    return sum(g.degree(v) for v in bits(g.adjacency_rows()[u]))
 
 
 def all_cycles(g: Graph) -> list[tuple[int, ...]]:

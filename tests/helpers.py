@@ -80,11 +80,11 @@ def switch_edges(g: Graph, u: int, v: int, nset) -> Graph:
     nm = mask_of(nset)
     if nm == 0:
         raise ValueError("switch set must be non-empty")
-    if nm & ~g.neighbors_mask(v):
-        raise ValueError("switch set must be a subset of N(v)")
-    if nm & g.closed_neighbors_mask(u):
-        raise ValueError("switch set must avoid u and its neighbourhood")
     adj = list(g.adjacency_rows())
+    if nm & ~adj[v]:
+        raise ValueError("switch set must be a subset of N(v)")
+    if nm & (adj[u] | 1 << u):
+        raise ValueError("switch set must avoid u and its neighbourhood")
     for w in bits(nm):
         adj[v] &= ~(1 << w)
         adj[w] &= ~(1 << v)

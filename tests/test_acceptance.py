@@ -177,13 +177,14 @@ def _draw_switch_instance(rng, alpha):
             if g.is_connected():
                 break
         x = spectral_radius(g, alpha).perron
+        rows = g.adjacency_rows()
         verts = list(range(n))
         rng.shuffle(verts)
         for u in verts:
             for v in verts:
                 if u == v or x[u] < x[v]:
                     continue
-                avail = g.neighbors_mask(v) & ~g.closed_neighbors_mask(u)
+                avail = rows[v] & ~rows[u] & ~(1 << u)
                 cand = list(bits(avail))
                 if not cand:
                     continue

@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import reduce
 from pathlib import Path
 
 import networkx as nx
@@ -7,13 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from alphax.canonical import (
-    MAX_CANONICAL_VERTICES,
-    CanonicalForm,
-    CapabilityError,
-    canonical_form,
-)
-from alphax.graph import Graph, pair_list
+from alphax.canonical import CanonicalForm, canonical_form
+from alphax.graph import Graph, bits, pair_list
 from alphax.graph6 import parse_graph6, write_graph6
 from alphax.families import (
     make_complete,
@@ -30,6 +26,7 @@ from helpers import (
     iter_all_graphs,
     perm_apply,
     random_graph,
+    switch_edges,
 )
 
 
@@ -186,13 +183,6 @@ def test_forms_are_orderable_and_hashable():
     assert isinstance(forms[0], CanonicalForm)
 
 
-def test_vertex_cap():
-    assert MAX_CANONICAL_VERTICES == 12
-    big = make_cycle(13)
-    with pytest.raises(CapabilityError):
-        canonical_form(big)
-
-
 def test_twin_heavy_graphs():
     # stars and complete bipartite graphs stress the twin pruning paths
     rng = random.Random(77)
@@ -308,3 +298,131 @@ def test_generators_take_no_part_in_identity():
     assert form.automorphisms
     bare = CanonicalForm(form.n, form.bits)
     assert bare == form and hash(bare) == hash(form) and not bare < form
+
+
+# -- past 12 vertices: the search has no order limit but Graph's 64 ----------
+
+
+def from_nx(h: nx.Graph) -> Graph:
+    return Graph.from_edge_list(h.number_of_nodes(), nx.convert_node_labels_to_integers(h).edges())
+
+
+def copies(g: Graph, count: int) -> Graph:
+    return reduce(disjoint_union, [g] * count)
+
+
+def paley(p: int) -> Graph:
+    """Vertices Z_p, i ~ j when i - j is a nonzero square mod the prime p = 1 (mod 4)."""
+    squares = {x * x % p for x in range(1, p)}
+    return Graph.from_edge_list(
+        p, [(i, j) for i, j in itertools.combinations(range(p), 2) if (j - i) % p in squares])
+
+
+def johnson(n: int, k: int) -> Graph:
+    """The k-subsets of n points, adjacent when they share k - 1 points."""
+    sets = [set(c) for c in itertools.combinations(range(n), k)]
+    return Graph.from_edge_list(len(sets), [
+        (a, b) for a, b in itertools.combinations(range(len(sets)), 2)
+        if len(sets[a] & sets[b]) == k - 1])
+
+
+def generalized_petersen(n: int, k: int) -> Graph:
+    """GP(n, k): outer cycle i ~ i+1, inner star polygon n+i ~ n+(i+k), spokes i ~ n+i."""
+    return Graph.from_edge_list(2 * n, [
+        e for i in range(n) for e in ((i, (i + 1) % n), (n + i, n + (i + k) % n), (i, n + i))])
+
+
+def shrikhande() -> Graph:
+    """Cayley graph of Z_4 x Z_4 on +-(1, 0), +-(0, 1), +-(1, 1): an SRG(16, 6, 2, 2)."""
+    return Graph.from_edge_list(16, [
+        (4 * a + b, 4 * ((a + x) % 4) + (b + y) % 4)
+        for a in range(4) for b in range(4) for x, y in ((1, 0), (0, 1), (1, 1))])
+
+
+def rook_4x4() -> Graph:
+    """K_4 box K_4, the other SRG(16, 6, 2, 2)."""
+    return from_nx(nx.cartesian_product(nx.complete_graph(4), nx.complete_graph(4)))
+
+
+def relabelled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return perm_apply(g, perm)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(13, 40), st.sampled_from((0.2, 0.35, 0.5, 0.65, 0.8)), st.integers(0, 2**32))
+def test_form_invariant_under_relabelling_past_12_vertices(n, p, seed):
+    # edges from a drawn seed: drawing each of up to 780 pairs through
+    # hypothesis would take most of the test's time
+    rng = random.Random(seed)
+    g = random_graph(rng, n, p)
+    form = canonical_form(g)
+    assert canonical_form(relabelled(g, rng)) == form
+    canon = form.graph()
+    assert nx.is_isomorphic(to_nx(canon), to_nx(g))
+    for gamma in form.automorphisms:
+        assert perm_apply(canon, gamma) == canon
+
+
+PAST_12 = {
+    **{f"Paley({p})": paley(p) for p in (13, 17, 29, 37, 41, 53, 61)},
+    "Q5": from_nx(nx.hypercube_graph(5)),
+    "Q6": from_nx(nx.hypercube_graph(6)),
+    "K31,31": make_complete_bipartite(31, 31),
+    "31K2": copies(make_complete(2), 31),
+    "12C5": copies(make_cycle(5), 12),
+    "6 Petersen": copies(petersen(), 6),
+    "J(8,3)": johnson(8, 3),
+    "co-(K8 box K7)": from_nx(nx.complement(
+        nx.cartesian_product(nx.complete_graph(8), nx.complete_graph(7)))),
+}
+
+
+@pytest.mark.parametrize("name", PAST_12)
+def test_named_families_past_12_vertices_relabelled(name):
+    g = PAST_12[name]
+    assert canonical_form(relabelled(g, random.Random(name))) == canonical_form(g)
+
+
+def test_shrikhande_and_rook_graph_get_different_forms():
+    # both SRG(16, 6, 2, 2): colour refinement alone cannot split them
+    assert canonical_form(shrikhande()) != canonical_form(rook_4x4())
+
+
+def test_switched_graphs_past_12_vertices_separate_exactly_the_non_isomorphic():
+    rng = random.Random(1312)
+    # moving every other leaf of K_{1,12} from the centre to a leaf gives K_{1,12} back
+    cases = [(make_complete_bipartite(1, 12), 1, 0, range(2, 13))]
+    while len(cases) < 40:
+        g = random_graph(rng, rng.randint(13, 20), rng.uniform(0.2, 0.8))
+        u, v = rng.sample(range(g.n), 2)
+        rows = g.adjacency_rows()
+        avail = list(bits(rows[v] & ~rows[u] & ~(1 << u)))
+        if avail:
+            cases.append((g, u, v, rng.sample(avail, rng.randint(1, len(avail)))))
+    same = 0
+    for g, u, v, nset in cases:
+        h = relabelled(switch_edges(g, u, v, nset), rng)
+        iso = nx.is_isomorphic(to_nx(g), to_nx(h))
+        assert (canonical_form(g) == canonical_form(h)) == iso
+        same += iso
+    assert 0 < same < len(cases)
+
+
+@pytest.mark.parametrize("g, order", [
+    (paley(13), 78),
+    (paley(17), 136),
+    (from_nx(nx.dodecahedral_graph()), 120),
+    (from_nx(nx.desargues_graph()), 240),
+    (from_nx(nx.moebius_kantor_graph()), 96),
+    (shrikhande(), 192),
+    (rook_4x4(), 1152),
+    (from_nx(nx.circulant_graph(13, [1, 5])), 52),
+    (generalized_petersen(15, 4), 60),
+], ids=["Paley(13)", "Paley(17)", "dodecahedral", "Desargues", "Moebius-Kantor",
+        "Shrikhande", "rook 4x4", "C13(1,5)", "GP(15,4)"])
+def test_generators_generate_the_whole_group_past_12_vertices(g, order):
+    h = to_nx(g)
+    assert sum(1 for _ in nx.vf2pp_all_isomorphisms(h, h)) == order
+    assert group_order(g.n, canonical_form(g).automorphisms) == order

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,11 +8,12 @@ from pathlib import Path
 import pytest
 
 from alphax import spectral, verify
+from alphax.canonical import canonical_form
 from alphax.cli import main
 from alphax.graph6 import parse_graph6_lines, write_graph6
-from alphax.families import make_cycle, make_wheel
+from alphax.families import make_complete_bipartite, make_cycle, make_friendship, make_wheel
 
-from helpers import make_report
+from helpers import make_report, perm_apply
 
 CLASS_FILE_N8 = Path(__file__).resolve().parent.parent / "data" / "min2ec_n8.g6"
 
@@ -90,6 +92,34 @@ def test_verify_thm_target(tmp_path, capsys):
     assert data[0]["argmax_matches_expected"] is True
     assert data[0]["class_size"] == 11
     assert err == "min-2-edge-connected n=7 alpha=0.5: size=11 max=3.68614066 argmax=F`?Nw ok\n"
+
+
+def test_class_file_past_12_vertices_is_ingested(tmp_path, capsys):
+    # F_6, K_{2,11} and C_13 are minimally 2-edge-connected; K_{3,10} is not
+    graphs = [make_friendship(6), make_complete_bipartite(2, 11), make_cycle(13),
+              make_complete_bipartite(3, 10)]
+    rng = random.Random(13)
+    path = tmp_path / "n13.g6"
+    path.write_text("".join(
+        write_graph6(perm_apply(g, rng.sample(range(13), 13))) + "\n"
+        for g in graphs for _ in range(2)))
+
+    code, out, err = run(capsys, "verify", "thm11-odd", "--n", "13", "--in", str(path),
+                         "--alphas", "0.5,0.75,0.99")
+    assert code == 0
+    f6 = canonical_form(make_friendship(6)).graph6()
+    assert f6 == "L`?G?C??G??@~~"
+    assert [(r["class_size"], r["argmax_canonical"]) for r in json.loads(out)] == [(3, f6)] * 3
+    assert [line.split()[-1] for line in err.splitlines()] == ["ok"] * 3
+
+    code, out, err = run(capsys, "enumerate", "--n", "13", "--class", "min-2-edge-connected",
+                         "--in", str(path))
+    assert code == 0
+    assert out.splitlines() == [f.graph6() for f in sorted(map(canonical_form, graphs[:3]))]
+    assert err == "min-2-edge-connected n=13: 3 graphs\n"
+
+    code, _, err = run(capsys, "enumerate", "--n", "13", "--class", "min-2-edge-connected")
+    assert code == 64 and "ingest" in err  # built in only up to 12
 
 
 def test_verify_reports_to_stdout_as_json(capsys):

@@ -5,7 +5,7 @@ import networkx as nx
 import pytest
 
 from alphax import connectivity, enumeration, kernels
-from alphax.canonical import CapabilityError, canonical_form
+from alphax.canonical import canonical_form
 from alphax.connectivity import high_degree_forest
 from alphax.enumeration import (
     MAX_BUILTIN_N,
@@ -161,11 +161,11 @@ def test_ingest_validates_and_filters():
 
 
 def test_builtin_cap_points_to_ingestion():
-    # min-2-edge-connected grows to the canonical-form cap, every other class to 8
+    # min-2-edge-connected grows to its measured limit of 12, every other class to 8
     assert MAX_BUILTIN_N == 8
     for flt, n in [(MIN_3C, 9), (MIN_2EC, 13)]:
         assert builtin_cap(flt) == n - 1
-        with pytest.raises(CapabilityError) as err:
+        with pytest.raises(ValueError) as err:
             enumerate_class(n, flt)
         assert "ingest" in str(err.value).lower() or "graph6" in str(err.value).lower()
 

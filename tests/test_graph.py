@@ -1,7 +1,7 @@
 import pytest
 
 from alphax.connectivity import has_chorded_cycle
-from alphax.graph import Graph, all_cycles, neighbor_degree_sum, pair_list, parse_edge_list
+from alphax.graph import Graph, all_cycles, bits, neighbor_degree_sum, pair_list, parse_edge_list
 from alphax.families import (
     make_complete,
     make_complete_bipartite,
@@ -20,7 +20,7 @@ def test_from_edge_list_basic():
     assert g.degrees() == [1, 2, 2, 1]
     assert g.has_edge(1, 2)
     assert not g.has_edge(0, 3)
-    assert g.neighbors(1) == [0, 2]
+    assert list(bits(g.adjacency_rows()[1])) == [0, 2]
 
 
 def test_from_edge_list_checks_the_order_before_reading_edges():
