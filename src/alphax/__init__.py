@@ -31,7 +31,7 @@ from .families import (
     parse_family_spec,
     rho_join_regular,
 )
-from .graph import Graph, all_cycles, neighbor_degree_sum, parse_edge_list
+from .graph import Graph, neighbor_degree_sum, parse_edge_list
 from .graph6 import Graph6Error, parse_graph6, parse_graph6_lines, write_graph6
 from .spectral import (
     ConvergenceError,

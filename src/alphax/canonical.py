@@ -28,9 +28,10 @@ Three prunings keep the search small without changing the minimum it finds:
   (J. Symb. Comput. 60, 2014): a leaf whose code equals the best one yields
   the automorphism best_order[i] -> order[i].  The search then resumes where
   the two orderings diverge, since the subtree it is in is the image of one
-  already searched, and at every node a candidate is skipped when an
-  automorphism fixing the node's prefix pointwise maps an already tried
-  candidate to it.
+  already searched.  At every node a candidate is tried only if it comes
+  first, in branch order, in its orbit (``orbit_reps``) under the automorphisms
+  found so far that fix the prefix pointwise.  The orbits are built only when
+  a node has a second branch, and again only after new automorphisms.
 
 Once the colouring is discrete, the rest of the ordering is forced and is
 completed without further refinement.
@@ -85,22 +86,20 @@ def _twin_reps(n: int, adj: tuple[int, ...]) -> list[int]:
     return rep
 
 
-def _orbit_roots(n: int, gens: list[list[int]]) -> list[int]:
-    """root[v] = least vertex in v's orbit under the group ``gens`` generate."""
-    root = list(range(n))
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    for gamma in gens:
-        for x, y in enumerate(gamma):
-            a, b = find(x), find(y)
-            if a != b:
-                root[max(a, b)] = min(a, b)
-    return [find(x) for x in range(n)]
+def orbit_reps(sets, automorphisms) -> list[int]:
+    """The first of the vertex masks ``sets`` in each orbit of <``automorphisms``>."""
+    seen: set[int] = set()
+    reps = []
+    for s in sets:
+        if s not in seen:
+            reps.append(s)
+            seen.add(s)
+            orbit = [s]
+            for t in orbit:  # grows while it is walked
+                images = {sum(1 << gamma[v] for v in bits(t)) for gamma in automorphisms} - seen
+                seen |= images
+                orbit += images
+    return reps
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -176,19 +175,17 @@ def canonical_form(g: Graph) -> CanonicalForm:
                 code = (code << 1) | ((adj[v] >> w) & 1)
             branches.append((code, v))
         branches.sort()
-        tried: list[int] = []
-        known = 0  # automorphisms already folded into root
-        root = list(range(n))
-        for code, v in branches:
+        known = 0  # len(autos) when reps was built
+        reps = None  # first branch of each orbit of the prefix-fixing automorphisms
+        for i, (code, v) in enumerate(branches):
             if best and codes == best[:pos] and code > best[pos]:
                 break  # branches are sorted, everything after is worse
-            if len(autos) > known:
+            if i and len(autos) > known:
                 known = len(autos)
                 gens = [gm for gm in autos if all(gm[x] == x for x in order)]
-                root = _orbit_roots(n, gens)
-            if any(root[v] == root[w] for w in tried):
-                continue  # an automorphism fixing the prefix maps a tried branch here
-            tried.append(v)
+                reps = set(orbit_reps([1 << w for _, w in branches], gens))
+            if reps is not None and 1 << v not in reps:
+                continue  # an automorphism fixing the prefix maps an earlier branch here
             new_colors = [2 * c + 1 for c in colors]
             new_colors[v] -= 1
             order.append(v)

@@ -139,6 +139,22 @@ def is_minimally_k_edge_connected(g: Graph, k: int) -> bool:
     return not any(_paths_survive_deletion(adj, u, v, k, None) for u, v in g.edges())
 
 
+def induces_forest(g: Graph, vertices: int) -> bool:
+    """The vertex mask ``vertices`` induces a forest in g; behind high_degree_forest
+    and the lemma suite's Halin row.  Leaves are stripped until nothing is left
+    (a forest) or a subgraph of minimum degree 2, which holds a cycle, remains."""
+    adj = g.adjacency_rows()
+    while vertices:
+        leaves = 0
+        for v in bits(vertices):
+            if (adj[v] & vertices).bit_count() <= 1:
+                leaves |= 1 << v
+        if not leaves:
+            return False
+        vertices ^= leaves
+    return True
+
+
 def high_degree_forest(g: Graph, k: int) -> bool:
     """The vertices of degree above k induce a forest.
 
@@ -147,21 +163,8 @@ def high_degree_forest(g: Graph, k: int) -> bool:
     zusammenhaengenden Graphen", Arch. Math. 23, 1972).  Not for the edge
     version: three triangles hung on the corners of a fourth are minimally
     2-edge-connected, yet the inner triangle's corners all have degree 4.
-    Leaves of the induced subgraph are stripped until nothing is left (a
-    forest) or a non-empty subgraph of minimum degree 2, which holds a
-    cycle, remains.
     """
-    adj = g.adjacency_rows()
-    rest = sum(1 << v for v, row in enumerate(adj) if row.bit_count() > k)
-    while rest:
-        leaves = 0
-        for v in bits(rest):
-            if (adj[v] & rest).bit_count() <= 1:
-                leaves |= 1 << v
-        if not leaves:
-            return False
-        rest ^= leaves
-    return True
+    return induces_forest(g, sum(1 << v for v, d in enumerate(g.degrees()) if d > k))
 
 
 def is_minimally_k_connected(g: Graph, k: int) -> bool:

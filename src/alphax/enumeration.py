@@ -59,8 +59,8 @@ from functools import lru_cache, partial
 from itertools import combinations
 
 from . import connectivity
-from .canonical import CanonicalForm, canonical_form
-from .graph import Graph, bits, pair_count
+from .canonical import CanonicalForm, canonical_form, orbit_reps
+from .graph import Graph, pair_count
 
 MAX_BUILTIN_N = 8  # cap of every class but min-2-edge-connected
 
@@ -184,22 +184,6 @@ def _k_sets(n: int, k: int) -> tuple[int, ...]:
     return tuple(sum(1 << v for v in c) for c in combinations(range(n), k))
 
 
-def _orbit_reps(sets, automorphisms) -> list[int]:
-    """The first of the vertex masks ``sets`` in each orbit of <``automorphisms``>."""
-    seen: set[int] = set()
-    reps = []
-    for s in sets:
-        if s not in seen:
-            reps.append(s)
-            seen.add(s)
-            orbit = [s]
-            for t in orbit:  # grows while it is walked
-                images = {sum(1 << gamma[v] for v in bits(t)) for gamma in automorphisms} - seen
-                seen |= images
-                orbit += images
-    return reps
-
-
 Level = tuple[tuple[Graph, tuple[tuple[int, ...], ...]], ...]
 _K1: Level = ((Graph(1, (0,)), ()),)
 
@@ -229,7 +213,7 @@ def _connected_joins(n: int, m_max: int, sieve=_all_sets):
     """Each graph of _connected(n-1, m_max-1) plus a vertex joined to one nonempty set
     per orbit that fits the edge room and passes ``sieve(g, sets)``."""
     return (_join_new_vertex(g, s) for g, autos in _connected(n - 1, m_max - 1)
-            for s in _orbit_reps(sieve(g, [nbrs for nbrs in range(1, 1 << (n - 1))
+            for s in orbit_reps(sieve(g, [nbrs for nbrs in range(1, 1 << (n - 1))
                                            if g.m + nbrs.bit_count() <= m_max]), autos))
 
 
@@ -248,7 +232,7 @@ def _chorded_cycle_free_joins(n: int, sieve=_all_sets):
     join sets of degree at most 2 that pass ``sieve(g, sets)``."""
     joins = (0, *(1 << v for v in range(n - 1)), *_k_sets(n - 1, 2))
     return (h for g, autos in _chorded_cycle_free(n - 1)
-            for h in (_join_new_vertex(g, s) for s in _orbit_reps(sieve(g, joins), autos))
+            for h in (_join_new_vertex(g, s) for s in orbit_reps(sieve(g, joins), autos))
             if h.degree(n - 1) < 2 or not connectivity.has_chorded_cycle(h))
 
 
@@ -290,7 +274,7 @@ def _grow(n: int, flt: ClassFilter) -> Level:
     members = []
     for g, autos in _base(n, flt):  # the new vertex must lift every base degree below k
         low = sum(1 << v for v, d in enumerate(g.degrees()) if d < k)
-        sets = _orbit_reps((s for s in _k_sets(n - 1, k) if s & low == low), autos)
+        sets = orbit_reps((s for s in _k_sets(n - 1, k) if s & low == low), autos)
         members += filter(flt.passes, (_join_new_vertex(g, s) for s in sets))
     return _level(members)
 

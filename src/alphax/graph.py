@@ -226,33 +226,6 @@ def neighbor_degree_sum(g: Graph, u: int) -> int:
     return sum(g.degree(v) for v in bits(g.adjacency_rows()[u]))
 
 
-def all_cycles(g: Graph) -> list[tuple[int, ...]]:
-    """Every simple cycle, once, as a vertex tuple starting at its least vertex.
-
-    Exhaustive search: only intended for small graphs.  A cycle (s, v1, ..., vk)
-    is emitted with s minimal and v1 < vk so each cycle appears in exactly one
-    orientation.
-    """
-    out: list[tuple[int, ...]] = []
-    n = g.n
-    adj = g.adjacency_rows()
-
-    def extend(start: int, path: list[int], used: int) -> None:
-        last = path[-1]
-        for w in bits(adj[last]):
-            if w == start and len(path) >= 3:
-                if path[1] < path[-1]:
-                    out.append(tuple(path))
-            elif w > start and not (used >> w) & 1:
-                path.append(w)
-                extend(start, path, used | (1 << w))
-                path.pop()
-
-    for s in range(n):
-        extend(s, [s], 1 << s)
-    return out
-
-
 # -- edge-list text format -------------------------------------------------
 
 

@@ -25,9 +25,9 @@ from typing import Callable
 
 from . import __version__, families
 from .canonical import canonical_form
-from .connectivity import has_chorded_cycle
+from .connectivity import has_chorded_cycle, induces_forest
 from .enumeration import ClassFilter, enumerate_class, generation_notes, ingest_class
-from .graph import Graph, all_cycles
+from .graph import Graph
 from .graph6 import write_graph6
 # spectral_radius is unused here but stays a name of this module, where
 # bench/tracer.py looks it up.
@@ -282,10 +282,16 @@ MAX_LEMMA_N = 7
 
 
 def _cycle_without_two_degree_3(g: Graph) -> bool:
-    return any(sum(1 for v in cyc if g.degree(v) == 3) < 2 for cyc in all_cycles(g))
+    """Some cycle of g has at most one vertex of degree 3: the vertices of other
+    degrees induce a cycle, alone or together with one vertex of degree 3."""
+    degs = g.degrees()
+    rest = sum(1 << v for v, d in enumerate(degs) if d != 3)
+    return not all(induces_forest(g, rest | x)
+                   for x in (0, *(1 << v for v, d in enumerate(degs) if d == 3)))
 
 
-# (lemma, class, test that a member violates it), in report order for each n
+# (lemma, class, test that a member violates it), in report order for each n;
+# all polynomial: the cycle rows run flows or strip leaves, listing no cycle
 LEMMAS = [
     ("min-degree-equals-k", ClassFilter("min-edge", 2), lambda g: g.min_degree() != 2),
     ("min-degree-equals-k", ClassFilter("min-edge", 3), lambda g: g.min_degree() != 3),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from alphax.canonical import CanonicalForm, canonical_form
+from alphax.canonical import CanonicalForm, canonical_form, orbit_reps
 from alphax.graph import Graph, bits, pair_list
 from alphax.graph6 import parse_graph6, write_graph6
 from alphax.families import (
@@ -291,6 +291,23 @@ def test_generators_generate_the_whole_group_on_the_atlas():
         form = canonical_form(Graph.from_edge_list(n, nxg.edges()))
         want = sum(1 for _ in nx.vf2pp_all_isomorphisms(nxg, nxg))
         assert group_order(n, form.automorphisms) == want, list(nxg.edges())
+
+
+def test_orbit_reps_are_the_first_of_each_orbit_on_the_atlas():
+    # the full group by brute force: the permutations that keep every edge
+    for nxg in nx.graph_atlas_g()[2:209]:  # 2 to 6 vertices
+        n = nxg.number_of_nodes()
+        form = canonical_form(Graph.from_edge_list(n, nxg.edges()))
+        canon = form.graph()
+        edges = canon.edges()
+        group = [p for p in itertools.permutations(range(n))
+                 if all(canon.has_edge(p[u], p[v]) for u, v in edges)]
+        for size in (1, 2):
+            sets = [sum(1 << v for v in c) for c in itertools.combinations(range(n), size)]
+            index = {s: i for i, s in enumerate(sets)}
+            first = [s for s in sets
+                     if all(index[sum(1 << p[v] for v in bits(s))] >= index[s] for p in group)]
+            assert orbit_reps(sets, form.automorphisms) == first, (list(nxg.edges()), size)
 
 
 def test_generators_take_no_part_in_identity():

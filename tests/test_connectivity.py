@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from alphax import _flow
 from alphax import connectivity as conn
-from alphax.graph import Graph, all_cycles, pair_list
+from alphax.graph import Graph, pair_list
 from alphax.families import (
     make_complete,
     make_complete_bipartite,
@@ -17,6 +17,7 @@ from alphax.families import (
 )
 
 from helpers import (
+    all_cycles,
     brute_edge_connectivity,
     brute_vertex_connectivity,
     chords_of_cycle,

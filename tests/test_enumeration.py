@@ -17,11 +17,12 @@ from alphax.enumeration import (
     generation_notes,
     ingest_class,
 )
-from alphax.graph import Graph, all_cycles, pair_count
+from alphax.graph import Graph, pair_count
 from alphax.graph6 import parse_graph6_lines, write_graph6, write_graph6_lines
 from alphax.families import make_complete, make_cycle
 
 from helpers import (
+    all_cycles,
     brute_edge_connectivity,
     brute_vertex_connectivity,
     chords_of_cycle,

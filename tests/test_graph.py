@@ -1,7 +1,7 @@
 import pytest
 
 from alphax.connectivity import has_chorded_cycle
-from alphax.graph import Graph, all_cycles, bits, neighbor_degree_sum, pair_list, parse_edge_list
+from alphax.graph import Graph, bits, neighbor_degree_sum, pair_list, parse_edge_list
 from alphax.families import (
     make_complete,
     make_complete_bipartite,
@@ -10,7 +10,7 @@ from alphax.families import (
     make_wheel,
 )
 
-from helpers import chords_of_cycle, switch_edges
+from helpers import all_cycles, chords_of_cycle, switch_edges
 
 
 def test_from_edge_list_basic():

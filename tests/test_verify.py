@@ -1,19 +1,28 @@
 import csv
 import io
 import json
+import random
 import re
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from alphax import verify
 from alphax.enumeration import ClassFilter, generation_notes
-from alphax.families import make_friendship, rho_join_regular
+from alphax.families import (
+    make_complete,
+    make_complete_bipartite,
+    make_friendship,
+    make_wheel,
+    rho_join_regular,
+)
+from alphax.graph import Graph
 from alphax.graph6 import parse_graph6_lines, write_graph6
 from alphax.spectral import TIE_TOL, alpha_indices
 
-from helpers import make_report
+from helpers import all_cycles, make_report, random_graph
 
 ROOT = Path(__file__).resolve().parent.parent
 # Each golden run over GOLDEN_ALPHAS, as (theorem, n, class file or None for
@@ -265,6 +274,40 @@ def test_lemma_suite_structure():
     assert all(c.violations == () for c in checks)
     assert sum(c.class_size for c in checks) > 0
     assert verify.lemma_suite_exit_code(checks) == 0
+
+
+def _halin_oracle(g: Graph) -> bool:
+    return any(sum(g.degree(v) == 3 for v in cyc) < 2 for cyc in all_cycles(g))
+
+
+def test_halin_row_matches_cycle_search():
+    flagged = 0
+    for nxg in nx.graph_atlas_g()[1:]:
+        g = Graph.from_edge_list(nxg.number_of_nodes(), nxg.edges())
+        want = _halin_oracle(g)
+        assert verify._cycle_without_two_degree_3(g) == want, list(nxg.edges())
+        flagged += want
+    assert flagged == 968
+    rng = random.Random(1969)
+    for _ in range(600):
+        g = random_graph(rng, rng.randint(7, 10), rng.choice((0.2, 0.3, 0.4)))
+        assert verify._cycle_without_two_degree_3(g) == _halin_oracle(g), g.edges()
+
+
+@pytest.mark.parametrize("row", range(len(verify.LEMMAS)))
+def test_each_lemma_row_flags_a_violator_and_passes_members(row):
+    name, flt, violated = verify.LEMMAS[row]
+    if name == "min-degree-equals-k":
+        violator = make_complete(flt.k + 2)  # minimum degree k + 1
+    elif name == "no-chorded-cycle":
+        violator = make_complete(4)
+    else:
+        violator = make_complete(5)
+    assert violated(violator)
+    members = [g for g in (make_wheel(7), make_friendship(3), make_complete_bipartite(2, 6))
+               if flt.passes(g)]
+    assert members
+    assert not any(violated(g) for g in members)
 
 
 def test_round9():
