@@ -28,6 +28,7 @@ from .spectral import (
     bound_upper_edge,
     column_sum_certificate,
     spectral_radius,
+    validate_alpha,
 )
 from .verify import UsageError
 
@@ -75,10 +76,7 @@ def _parse_alphas(text: str | None) -> list[float]:
         raise UsageError(f"bad alpha list {text!r}")
     if not alphas:
         raise UsageError("alpha list is empty")
-    for a in alphas:
-        if not 0.0 <= a <= 1.0:
-            raise UsageError(f"alpha {a} outside [0, 1]")
-    return alphas
+    return [validate_alpha(a) for a in alphas]
 
 
 def _reject_options(args, mode: str, flags: dict[str, str]) -> None:

@@ -60,6 +60,7 @@ class Graph:
 
     def __init__(self, n: int, adj: tuple[int, ...]):
         _check_order(n)
+        adj = tuple(adj)  # keep the rows that were checked, as a hashable value
         if len(adj) != n:
             raise ValueError("adjacency row count does not match n")
         full = (1 << n) - 1
@@ -109,7 +110,10 @@ class Graph:
 
     @classmethod
     def from_edge_bits(cls, n: int, code: int) -> "Graph":
-        """Inverse of :meth:`edge_bits`."""
+        """Inverse of :meth:`edge_bits`; ``code`` must fit in n's vertex pairs."""
+        _check_order(n)
+        if not 0 <= code < 1 << pair_count(n):
+            raise ValueError(f"edge code {code} does not fit {pair_count(n)} vertex pairs")
         adj = [0] * n
         for idx, (i, j) in enumerate(reversed(pair_list(n))):
             if (code >> idx) & 1:

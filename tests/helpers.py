@@ -29,6 +29,14 @@ def eig_rho(g: Graph, alpha: float) -> float:
     return float(np.linalg.eigvalsh(build_alpha_matrix(g, alpha))[-1])
 
 
+def cap_address_space():
+    """``preexec_fn`` for a subprocess: a runaway allocation becomes a
+    MemoryError instead of an exhausted host."""
+    import resource
+    cap = 2 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
 def iter_all_graphs(n: int):
     for mask in range(1 << pair_count(n)):
         yield Graph.from_edge_bits(n, mask)

@@ -5,6 +5,7 @@ checks a release must pass; the unit test modules cover the same machinery
 at finer grain.
 """
 
+import ast
 import itertools
 import random
 import time
@@ -41,6 +42,7 @@ from helpers import (
 )
 
 DATA_FILE = Path(__file__).resolve().parent.parent / "data" / "min2ec_n8.g6"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -258,3 +260,21 @@ def test_criterion_10_enumeration_matches_brute_force():
             assert {canonical_form(g) for g in got} == {canonical_form(g) for g in oracle}
             total += len(got)
     print(f"criterion 10 oracle equivalence n<=6: PASS ({total} classes compared)")
+
+
+def test_readme_library_example_states_true_values():
+    # run the block statement by statement, keeping each bare expression's value
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, values = {}, []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            values.append(eval(compile(ast.Expression(node.value), "README", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+    c5, w7, f3, k26, count = values
+    assert abs(namespace["res"].radius - 4) <= 1e-12
+    assert abs(w7 - 4) <= 1e-12 and abs(k26 - 4) <= 1e-12
+    assert abs(f3 - 3.68614066) <= 1e-8
+    assert abs(c5 - 2) <= 1e-12
+    assert count == len(namespace["members"]) == 11

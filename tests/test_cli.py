@@ -13,7 +13,7 @@ from alphax.cli import main
 from alphax.graph6 import parse_graph6_lines, write_graph6
 from alphax.families import make_complete_bipartite, make_cycle, make_friendship, make_wheel
 
-from helpers import make_report, perm_apply
+from helpers import cap_address_space, make_report, perm_apply
 
 CLASS_FILE_N8 = Path(__file__).resolve().parent.parent / "data" / "min2ec_n8.g6"
 
@@ -253,6 +253,13 @@ def test_usage_errors_exit_64(capsys):
     assert run(capsys, "certify-colsums", "--alphas", "0.5")[0] == 64  # no target
 
 
+def test_alpha_out_of_range_exits_64_before_any_output(capsys):
+    # the whole list is checked before the first alpha is solved and printed
+    code, out, err = run(capsys, "rho", "W7", "--alphas", "0.5,1.5")
+    assert (code, out) == (64, "")
+    assert err == "alphax: error: alpha must lie in [0, 1], got 1.5\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -412,12 +419,6 @@ def test_family_spec_errors_name_the_family_problem(capsys, token, message):
     assert err == f"alphax: error: {message}\n"
 
 
-def _cap_address_space():
-    import resource
-    cap = 2 << 30
-    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-
 @pytest.mark.parametrize("token,n", [
     ("K100000", 100000),
     ("P1000000000", 1000000000),
@@ -433,7 +434,7 @@ def test_oversized_order_exits_64_before_allocating(tmp_path, token, n):
         Path(token).write_text("1000000000000 0\n")
     out = subprocess.run(
         [sys.executable, "-m", "alphax.cli", "rho", token, "--alphas", "0.5"],
-        capture_output=True, text=True, preexec_fn=_cap_address_space,
+        capture_output=True, text=True, preexec_fn=cap_address_space,
     )
     assert out.returncode == 64
     assert out.stderr == f"alphax: error: vertex count {n} outside supported range 1..64\n"

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from alphax.connectivity import has_chorded_cycle
@@ -10,7 +13,7 @@ from alphax.families import (
     make_wheel,
 )
 
-from helpers import all_cycles, chords_of_cycle, switch_edges
+from helpers import all_cycles, cap_address_space, chords_of_cycle, switch_edges
 
 
 def test_from_edge_list_basic():
@@ -64,6 +67,24 @@ def test_edge_bits_column_order():
     assert Graph.from_edge_bits(3, 0b010) == Graph.from_edge_list(3, [(0, 2)])
     assert Graph.from_edge_bits(3, 0b101) == Graph.from_edge_list(3, [(0, 1), (1, 2)])
     assert Graph.from_edge_list(3, [(0, 1)]).edge_bits() == 0b100
+
+
+def test_from_edge_bits_rejects_codes_that_do_not_fit():
+    with pytest.raises(ValueError, match="edge code -1"):
+        Graph.from_edge_bits(3, -1)
+    with pytest.raises(ValueError, match="edge code 127"):
+        Graph.from_edge_bits(3, 0b1111111)  # bits above the three pairs
+    assert Graph.from_edge_bits(3, 0b111) == make_complete(3)
+
+
+def test_from_edge_bits_checks_the_order_before_listing_pairs():
+    # listing the pairs first would fill the capped address space
+    code = "from alphax.graph import Graph; Graph.from_edge_bits(100000, 1)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         preexec_fn=cap_address_space)
+    assert out.returncode == 1
+    assert out.stderr.endswith(
+        "ValueError: vertex count 100000 outside supported range 1..64\n")
 
 
 def test_edge_bits_round_trip():
@@ -184,3 +205,13 @@ def test_graph_is_hashable():
     g = make_cycle(4)
     assert hash(g) == hash(make_cycle(4))
     assert g != make_path(4)
+
+
+def test_list_rows_are_kept_as_a_tuple():
+    rows = [0b10, 0b01]
+    g = Graph(2, rows)
+    assert g == Graph(2, (0b10, 0b01))
+    assert hash(g) == hash(Graph(2, (0b10, 0b01)))
+    rows[0] = rows[1] = 0  # the graph keeps the rows it checked
+    assert g.adjacency_rows() == (0b10, 0b01)
+    assert g == make_path(2)
