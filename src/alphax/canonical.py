@@ -46,12 +46,13 @@ graphs on 13 to 30 vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import total_ordering
 
 from .graph import Graph, bits
 from .graph6 import write_graph6
 
-@dataclass(frozen=True, order=True)
+
+@total_ordering
 class CanonicalForm:
     """Order-comparable fingerprint: vertex count plus canonical adjacency bits.
 
@@ -61,9 +62,26 @@ class CanonicalForm:
     Aut(``graph()``); they take no part in equality, order or hashing.
     """
 
-    n: int
-    bits: int
-    automorphisms: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
+    __slots__ = ("n", "bits", "automorphisms")
+
+    def __init__(self, n: int, bits: int, automorphisms: tuple[tuple[int, ...], ...] = ()):
+        self.n, self.bits, self.automorphisms = n, bits, automorphisms
+
+    def __repr__(self) -> str:
+        return f"CanonicalForm(n={self.n}, bits={self.bits}, automorphisms={self.automorphisms})"
+
+    def __eq__(self, other):
+        if other.__class__ is not CanonicalForm:
+            return NotImplemented
+        return self.n == other.n and self.bits == other.bits
+
+    def __lt__(self, other):
+        if other.__class__ is not CanonicalForm:
+            return NotImplemented
+        return (self.n, self.bits) < (other.n, other.bits)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.bits))
 
     def graph(self) -> Graph:
         return Graph.from_edge_bits(self.n, self.bits)

@@ -13,7 +13,6 @@ such as W7 or K2,6, or a literal graph6 line.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -141,8 +140,8 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_classify(args) -> int:
     info = connectivity.classify(load_graph(args.graph), args.k)
-    for f in dataclasses.fields(info):
-        print(f"{f.name}: {getattr(info, f.name)}")
+    for name, value in zip(info._fields, info):
+        print(f"{name}: {value}")
     return 0
 
 

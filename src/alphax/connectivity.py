@@ -18,7 +18,7 @@ The same local test finds chords of cycles (k=2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _flow
 from .graph import Graph, bits
@@ -181,8 +181,7 @@ def is_minimally_k_connected(g: Graph, k: int) -> bool:
     return not any(_paths_survive_deletion(adj, u, v, k, split) for u, v in g.edges())
 
 
-@dataclass(frozen=True)
-class ClassMembership:
+class ClassMembership(NamedTuple):
     """Connectivity profile of a graph relative to a target k."""
 
     n: int

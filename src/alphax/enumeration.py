@@ -54,7 +54,6 @@ generator against kernels.scan_masks, which uses none of the facts above.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
 
@@ -69,18 +68,28 @@ _MIN_EDGE_RE = re.compile(r"^min-(\d+)-edge-connected$")
 _MIN_VERTEX_RE = re.compile(r"^min-(\d+)-connected$")
 
 
-@dataclass(frozen=True)
 class ClassFilter:
     """A graph class: all-connected, min-k-edge-connected, or min-k-connected."""
 
-    kind: str
-    k: int = 1
+    __slots__ = ("kind", "k")
 
-    def __post_init__(self):
-        if self.kind not in (ALL_CONNECTED, "min-edge", "min-vertex"):
-            raise ValueError(f"unknown class kind {self.kind!r}")
-        if self.k < 1:
+    def __init__(self, kind: str, k: int = 1):
+        if kind not in (ALL_CONNECTED, "min-edge", "min-vertex"):
+            raise ValueError(f"unknown class kind {kind!r}")
+        if k < 1:
             raise ValueError("k must be at least 1")
+        self.kind, self.k = kind, k
+
+    def __repr__(self) -> str:
+        return f"ClassFilter(kind={self.kind!r}, k={self.k})"
+
+    def __eq__(self, other):
+        if other.__class__ is not ClassFilter:
+            return NotImplemented
+        return self.kind == other.kind and self.k == other.k
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.k))
 
     @classmethod
     def parse(cls, name: str) -> "ClassFilter":

@@ -49,7 +49,6 @@ matrix and the vector alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -78,8 +77,7 @@ class ConvergenceError(RuntimeError):
         self.tol = tol
 
 
-@dataclass(frozen=True)
-class SpectralResult:
+class SpectralResult(NamedTuple):
     radius: float
     perron: np.ndarray
     residual: float

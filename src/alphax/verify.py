@@ -16,12 +16,9 @@ runtime_ms field is the one exception, it obviously varies run to run.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import time
-from dataclasses import dataclass, field, fields
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import __version__, families
 from .canonical import canonical_form
@@ -51,8 +48,7 @@ def _round9(x: float | None) -> float | None:
     return float(f"{x:.9g}")
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     class_name: str
     k: int
     n: int
@@ -89,17 +85,16 @@ class SearchReport:
 
     def to_dict(self) -> dict:
         row = dict(REPORT_HEADER)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name in ROUNDED_KEYS:
+        for name, value in zip(self._fields, self):
+            if name in ROUNDED_KEYS:
                 value = _round9(value)
-            row[RENAMED_KEYS.get(f.name, f.name)] = (
+            row[RENAMED_KEYS.get(name, name)] = (
                 list(value) if isinstance(value, tuple) else value)
         return row
 
 
 CSV_COLUMNS = [*REPORT_HEADER,
-               *(RENAMED_KEYS.get(f.name, f.name) for f in fields(SearchReport))]
+               *(RENAMED_KEYS.get(name, name) for name in SearchReport._fields)]
 
 
 def _encoded_rows(reports, scalar, sequence):
@@ -144,6 +139,9 @@ def _csv_scalar(key: str, value):
 
 
 def reports_to_csv(reports) -> str:
+    import csv  # imported here: no campaign that writes JSON needs it
+    import io
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
@@ -164,8 +162,7 @@ def exit_code(reports) -> int:
     return 0 if verdicts <= {"ok"} else 2
 
 
-@dataclass(frozen=True)
-class Theorem:
+class Theorem(NamedTuple):
     """One maximizer claim: over the class at every order n that ``order_ok``
     admits, ``expected(n)`` attains the largest alpha-index, whose value is
     ``closed_form(n, alpha)``, for every alpha in [1/2, 1)."""
@@ -269,13 +266,12 @@ def verify_theorem(name: str, n: int, alphas, *, source_graphs=None) -> list[Sea
 # -- structural lemma suite ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LemmaCheck:
+class LemmaCheck(NamedTuple):
     name: str
     class_name: str
     n: int
     class_size: int
-    violations: tuple[str, ...] = field(default_factory=tuple)
+    violations: tuple[str, ...] = ()
 
 
 MAX_LEMMA_N = 7

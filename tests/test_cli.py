@@ -50,8 +50,17 @@ def test_bounds_command(capsys):
 def test_classify_command(capsys):
     code, out, _ = run(capsys, "classify", "C4", "--k", "2")
     assert code == 0
-    assert "is_minimally_k_edge_connected: True" in out
-    assert "vertex_connectivity: 2" in out
+    assert out.splitlines() == [
+        "n: 4",
+        "m: 4",
+        "k: 2",
+        "vertex_connectivity: 2",
+        "edge_connectivity: 2",
+        "is_k_connected: True",
+        "is_k_edge_connected: True",
+        "is_minimally_k_connected: True",
+        "is_minimally_k_edge_connected: True",
+    ]
 
 
 def test_enumerate_to_file_and_back(tmp_path, capsys):
@@ -364,6 +373,19 @@ def test_import_pins_blas_threads_unless_set(preset, want):
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == want
+
+
+def test_cli_import_generates_no_record_code():
+    """The import every CLI process pays loads neither dataclasses (which
+    compiles each record's methods) nor csv (which only CSV reports need),
+    and still loads numpy and every alphax module the commands use."""
+    code = "import sys, alphax.cli; alphax.cli.build_parser(); print(*sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    loaded = set(out.stdout.split())
+    assert not {"dataclasses", "csv"} & loaded
+    modules = ("_flow", "canonical", "cli", "connectivity", "enumeration", "families",
+               "graph", "graph6", "spectral", "verify")
+    assert {"numpy", "alphax", *(f"alphax.{m}" for m in modules)} <= loaded
 
 
 @pytest.mark.parametrize(

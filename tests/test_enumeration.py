@@ -72,6 +72,13 @@ def test_filter_parsing():
             ClassFilter.parse(bad)
 
 
+def test_filter_constructor_rejects_unknown_kind_and_small_k():
+    with pytest.raises(ValueError, match="unknown class kind 'connected'"):
+        ClassFilter("connected")
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        ClassFilter("min-edge", 0)
+
+
 def test_filter_describe_round_trips():
     for flt in (ALL_CONN, MIN_2EC, MIN_3C):
         assert ClassFilter.parse(flt.describe()) == flt

@@ -30,7 +30,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # was written by the power-iteration solver that preceded the batched eigh
 # solve, its CSV by the code that listed the report keys by hand before they
 # were derived from SearchReport's fields.  The other two were written by the
-# code that still kept a separate closed form for F_k and K_{p,q}.
+# code that still kept a separate closed form for F_k and K_{p,q}.  Each JSON
+# file later gained the certified_unique key from `alphax verify --out`, with
+# every other byte kept.
 GOLDEN_RUNS = [
     ("thm11-even", 8, "data/min2ec_n8.g6", "thm11_even_n8"),
     ("thm11-odd", 7, None, "thm11_odd_n7"),
@@ -143,12 +145,8 @@ def golden(request):
 def test_golden_report_reproduced_byte_for_byte(golden):
     reports, stem = golden
     assert all(r.certified_unique for r in reports)
-    rows = [
-        {k: v for k, v in r.to_dict().items() if k != "certified_unique"}
-        for r in reports
-    ]
     zero = lambda text: re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', text)
-    got = zero(json.dumps(rows, indent=2) + "\n")
+    got = zero(verify.reports_to_json(reports))
     assert got == zero((ROOT / "tests" / "data" / f"{stem}.json").read_text())
 
 
