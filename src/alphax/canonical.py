@@ -216,6 +216,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
         return pos - 1
 
     dfs(refine([degree_rank[d] for d in degs]), [], [])
+    del dfs  # empties the closure cell through which dfs refers to itself, a cycle
     packed = 0
     for pos, code in enumerate(best):
         packed = (packed << pos) | code

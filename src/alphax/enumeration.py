@@ -181,10 +181,11 @@ def enumerate_class(n: int, flt: ClassFilter) -> list[Graph]:
 
 
 def _join_new_vertex(g: Graph, nbrs: int) -> Graph:
-    """g plus a new last vertex adjacent to the vertex set ``nbrs``."""
+    """g plus a new last vertex adjacent to the vertex set ``nbrs`` of g's vertices."""
     n = g.n
     adj = [row | ((nbrs >> v) & 1) << n for v, row in enumerate(g.adjacency_rows())]
-    return Graph(n + 1, (*adj, nbrs))
+    # symmetric by construction, so the generator skips Graph's checks
+    return Graph._trusted(n + 1, (*adj, nbrs), g.m + nbrs.bit_count())
 
 
 @lru_cache(maxsize=None)

@@ -79,6 +79,16 @@ class Graph:
         object.__setattr__(self, "m", deg_total // 2)
         object.__setattr__(self, "_adj", adj)
 
+    @classmethod
+    def _trusted(cls, n: int, adj: tuple[int, ...], m: int) -> "Graph":
+        """The graph on rows that the caller built valid, with none of
+        ``__init__``'s checks: n in range, n symmetric loop-free rows, m edges."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "m", m)
+        object.__setattr__(g, "_adj", adj)
+        return g
+
     def __setattr__(self, name, value):
         raise AttributeError("Graph instances are immutable")
 

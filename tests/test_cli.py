@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -360,6 +361,56 @@ def test_installed_entry_point_runs():
     )
     assert out.returncode == 0
     assert "rho=4" in out.stdout
+
+
+# block-buffered standard streams, as in a pipeline, so that a lost flush shows
+BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def fresh(*argv):
+    """The CLI as its own process, entered through cli.run()."""
+    return subprocess.run([sys.executable, "-m", "alphax.cli", *argv],
+                          capture_output=True, text=True, env=BUFFERED)
+
+
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        (["bounds", "W7", "--alphas", "0.5"], 0),
+        (["certify-colsums", "--class", "min-4-connected", "--n", "5", "--alphas", "0.5"], 1),
+        (["verify", "thm12"], 64),  # main returns 64
+        (["flurp"], 64),  # the parser exits inside main
+    ],
+    ids=["exit-0", "exit-1", "exit-64-returned", "exit-64-raised"],
+)
+def test_fresh_process_matches_in_process_main(capsys, argv, want):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    out = fresh(*argv)
+    assert code == want
+    assert (out.returncode, out.stdout, out.stderr) == (code, captured.out, captured.err)
+
+
+def test_fresh_process_report_matches_in_process_main(tmp_path):
+    argv = ["verify", "thm11-odd", "--n", "7", "--alphas", "0.5,0.75", "--out"]
+    assert fresh(*argv, str(tmp_path / "fresh.json")).returncode == 0
+    assert main([*argv, str(tmp_path / "main.json")]) == 0
+    zero = lambda path: re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', path.read_text())
+    assert zero(tmp_path / "fresh.json") == zero(tmp_path / "main.json")
+
+
+def test_run_keeps_atexit_handlers():
+    code = ("import atexit, sys; from alphax.cli import run; "
+            "atexit.register(print, 'atexit ran'); "
+            "sys.argv = ['alphax', 'bounds', 'C5', '--alphas', '0.75']; run()")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=BUFFERED)
+    assert out.returncode == 0
+    assert out.stdout.splitlines()[-1] == "atexit ran"
+    assert out.stdout.startswith("n=5 m=5")
 
 
 @pytest.mark.parametrize("preset,want", [(None, "1"), ("2", "2")])

@@ -1,3 +1,4 @@
+import gc
 from functools import lru_cache
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from alphax.enumeration import (
     generation_notes,
     ingest_class,
 )
-from alphax.graph import Graph, pair_count
+from alphax.graph import Graph, bits, pair_count
 from alphax.graph6 import parse_graph6_lines, write_graph6, write_graph6_lines
 from alphax.families import make_complete, make_cycle
 
@@ -204,6 +205,35 @@ def test_base_level_is_pruned_for_the_scan7_classes():
     assert len(enumeration._base(7, MIN_2EC)) == 19
     assert len(enumeration._connected(6, 9)) == 80
     assert len(enumeration._base(7, MIN_3C)) == 21
+
+
+def test_joins_equal_checked_graphs():
+    # _join_new_vertex skips Graph's checks: each join of a level graph to any
+    # set of its vertices must be the graph the checked constructor builds
+    levels = [enumeration._connected(n, pair_count(n)) for n in range(1, 7)]
+    levels += [enumeration._chorded_cycle_free(n) for n in range(1, 8)]
+    joins = 0
+    for g, _ in (member for level in levels for member in level):
+        n = g.n
+        for s in range(1 << n):
+            h = enumeration._join_new_vertex(g, s)
+            want = Graph.from_edge_list(n + 1, [*g.edges(), *((v, n) for v in bits(s))])
+            assert (h, h.m) == (want, want.m), (write_graph6(g), s)
+            joins += 1
+    assert joins == 32624
+
+
+def test_growth_leaves_no_cyclic_garbage():
+    # canonical_form's recursive search must not outlive a call in a reference
+    # cycle, or every labelling leaves work for the cyclic collector
+    enumeration._grow(7, MIN_2EC)  # the lower levels, cached
+    gc.collect()
+    gc.disable()
+    try:
+        enumeration._grow.__wrapped__(7, MIN_2EC)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_connected_levels_match_atlas_counts():
