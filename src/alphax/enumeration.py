@@ -14,26 +14,30 @@ k-(edge-)connected graph G with m edges, because:
 * G-v has m-k <= edge_bound-k edges: Mader's k(n-k) for minimally
   k-connected graphs on n >= 3k-2 vertices (Arch. Math. 23, 1972), the
   number of vertex pairs otherwise.
-* Deleting a non-cut vertex, such as a leaf of a spanning tree, keeps a graph
-  connected and adds no edge.  So the capped levels (connected graphs with at
-  most m_max edges, grown from K_1 by joining each new vertex to a nonempty
-  set within the edge room) are complete.
 
-The base level is the capped level on n-1 vertices with edge_bound-k edges;
-all-connected is a capped level itself.  Minimally 2-edge-connected graphs
-grow from the chorded-cycle-free graphs instead: no cycle of a member has a
-chord (the paper's lemma), nor after a vertex deletion, and a graph of
-minimum degree 3 has a chorded cycle (Posa, Czipszer), so these graphs grow
-from K_1 by vertices of degree at most 2.
+Every level holds only connected graphs, and each grows from the level below
+by one new vertex joined to a nonempty set:
 
-Only the base graphs that can be G-v are kept: G-v is connected, its degrees
-are at least k-1 and at most k of them are below k (G has minimum degree k,
-and deleting v lowers only its k neighbours, by one each), and for the
-min-k-connected classes its vertices of degree above k induce a forest (they
-have degree above k in G, where such vertices induce a forest: Mader 1972).
-This filter runs before the base level's canonical dedup, and the degree
-conditions are read off the degrees of the graph below and the join set
-before the joined graph is built.  The lower levels stay complete.
+* The connected graphs on n vertices grow from those on n-1 by a vertex of
+  any degree: deleting a non-cut vertex, such as a leaf of a spanning tree,
+  keeps a graph connected.  This one level per order is all-connected, and
+  the top base level is its joins within the edge room edge_bound-k.
+* Minimally 2-edge-connected graphs grow from the connected chorded-cycle-free
+  graphs instead: no cycle of a member has a chord (the paper's lemma), nor
+  after a vertex deletion.  Such a graph has a vertex of degree 1 or 2 that
+  is not a cut vertex: in a leaf block B, either B = K_2 with a leaf at its
+  end off the cut vertex, or two copies of B glued at the cut vertex have no
+  chorded cycle, and a graph of minimum degree 3 has one (Posa, Czipszer).
+  So these graphs grow from K_1 by vertices of degree 1 or 2.
+
+Only the base graphs that can be G-v are kept: their degrees are at least
+k-1 and at most k of them are below k (G has minimum degree k, and deleting v
+lowers only its k neighbours, by one each), and for the min-k-connected
+classes the vertices of degree above k induce a forest (they have degree
+above k in G, where such vertices induce a forest: Mader 1972).  This filter
+runs before the base level's canonical dedup, and the degree conditions are
+read off the degrees of the graph below and the join set before the joined
+graph is built.  The lower levels stay complete.
 
 Each base graph B is joined to one neighbour set per orbit of Aut(B) (the
 generators come with B's canonical form): sigma in Aut(B) maps B+S
@@ -158,8 +162,8 @@ def generation_notes(n: int, flt: ClassFilter) -> list[str]:
 
 def builtin_cap(flt: ClassFilter) -> int:
     """Largest order that enumerate_class generates for the class."""
-    # a measured limit: min-2-edge-connected grows to n = 12 in 35.6 s and
-    # 45 MB, and n = 13 takes about 3 min
+    # a measured limit (2-core Intel Xeon, Python 3.11.7): min-2-edge-connected
+    # grows to n = 12 in 13.3 s and 42 MB, to n = 13 in 62 s and 83 MB
     return 12 if flt == MIN_2EC else MAX_BUILTIN_N
 
 
@@ -210,53 +214,49 @@ def _all_sets(g: Graph, sets):
 
 
 @lru_cache(maxsize=None)
-def _connected(n: int, m_max: int) -> Level:
-    """All connected graphs on n vertices with at most m_max edges."""
-    if m_max > pair_count(n):
-        return _connected(n, pair_count(n))
-    if n == 1:
-        return _K1 if m_max >= 0 else ()
-    return _level(_connected_joins(n, m_max))
+def _connected(n: int) -> Level:
+    """All connected graphs on n vertices."""
+    return _K1 if n == 1 else _level(_connected_joins(n))
 
 
-def _connected_joins(n: int, m_max: int, sieve=_all_sets):
-    """Each graph of _connected(n-1, m_max-1) plus a vertex joined to one nonempty set
-    per orbit that fits the edge room and passes ``sieve(g, sets)``."""
-    return (_join_new_vertex(g, s) for g, autos in _connected(n - 1, m_max - 1)
-            for s in orbit_reps(sieve(g, [nbrs for nbrs in range(1, 1 << (n - 1))
-                                           if g.m + nbrs.bit_count() <= m_max]), autos))
+def _connected_joins(n: int, sieve=_all_sets):
+    """Each graph of _connected(n-1) plus a vertex joined to one nonempty set per
+    orbit that passes ``sieve(g, sets)``; deleting a non-cut vertex, such as a
+    leaf of a spanning tree, keeps a graph connected."""
+    return (_join_new_vertex(g, s) for g, autos in _connected(n - 1)
+            for s in orbit_reps(sieve(g, range(1, 1 << (n - 1))), autos))
 
 
 @lru_cache(maxsize=None)
 def _chorded_cycle_free(n: int) -> Level:
-    """All graphs on n vertices in which no cycle has a chord.
+    """All connected graphs on n vertices in which no cycle has a chord.
 
-    Connected or not: deleting a vertex may disconnect a graph.  A new vertex
-    of degree 0 or 1 lies on no cycle, so only joins to 2 vertices are tested.
+    Each has a vertex of degree 1 or 2 that is not a cut vertex (Posa, on a
+    leaf block).  A new vertex of degree 1 lies on no cycle, so only joins to
+    2 vertices are tested.
     """
     return _K1 if n == 1 else _level(_chorded_cycle_free_joins(n))
 
 
 def _chorded_cycle_free_joins(n: int, sieve=_all_sets):
     """The graphs of _chorded_cycle_free(n), one or more per class, from the
-    join sets of degree at most 2 that pass ``sieve(g, sets)``."""
-    joins = (0, *(1 << v for v in range(n - 1)), *_k_sets(n - 1, 2))
+    join sets of degree 1 or 2 that pass ``sieve(g, sets)``."""
+    joins = (*(1 << v for v in range(n - 1)), *_k_sets(n - 1, 2))
     return (h for g, autos in _chorded_cycle_free(n - 1)
             for h in (_join_new_vertex(g, s) for s in orbit_reps(sieve(g, joins), autos))
             if h.degree(n - 1) < 2 or not connectivity.has_chorded_cycle(h))
 
 
-def _liftable(g: Graph, sets, k: int) -> list[int]:
-    """The sets s for which every degree of g+s is at least k-1 and at most k are below k.
-
-    g+s has the degrees of g, plus one on s, and |s| for the new vertex.
-    """
+def _liftable(g: Graph, sets, k: int, room: int) -> list[int]:
+    """The sets s for which g+s has at most ``room`` edges, every degree of g+s
+    is at least k-1 and at most k are below k (g+s has the degrees of g, plus
+    one on s, and |s| for the new vertex)."""
     degs = g.degrees()
     if min(degs) < k - 2:
         return []
     need = sum(1 << u for u, d in enumerate(degs) if d == k - 2)  # below k-1 unless in s
     short = sum(1 << u for u, d in enumerate(degs) if d == k - 1)  # below k unless in s
-    return [s for s in sets if s & need == need and s.bit_count() >= k - 1
+    return [s for s in sets if s & need == need and k - 1 <= s.bit_count() <= room - g.m
             and need.bit_count() + (short & ~s).bit_count() + (s.bit_count() < k) <= k]
 
 
@@ -266,18 +266,17 @@ def _base(n: int, flt: ClassFilter) -> Level:
     k = flt.k
     if n == 2:
         return _K1  # K_2 = K_1 plus a vertex of degree 1; for k > 1 nothing joins
-    sieve = partial(_liftable, k=k)
-    joins = (_chorded_cycle_free_joins(n - 1, sieve) if flt == MIN_2EC
-             else _connected_joins(n - 1, edge_bound(n, flt) - k, sieve))
-    return _level(h for h in joins if h.is_connected()
-                  and (flt.kind != "min-vertex" or connectivity.high_degree_forest(h, k)))
+    sieve = partial(_liftable, k=k, room=edge_bound(n, flt) - k)
+    joins = (_chorded_cycle_free_joins if flt == MIN_2EC else _connected_joins)(n - 1, sieve)
+    return _level(h for h in joins
+                  if flt.kind != "min-vertex" or connectivity.high_degree_forest(h, k))
 
 
 @lru_cache(maxsize=None)
 def _grow(n: int, flt: ClassFilter) -> Level:
     """The class on n vertices: a base level on n-1 vertices plus a vertex of degree k."""
     if flt.kind == ALL_CONNECTED:
-        return _connected(n, pair_count(n))
+        return _connected(n)
     if n < 2:
         return ()
     k = flt.k

@@ -167,6 +167,30 @@ def connected_class_reps(n: int):
     return tuple(seen[key] for key in sorted(seen))
 
 
+@lru_cache(maxsize=None)
+def chorded_cycle_free_graphs(n: int) -> tuple[Graph, ...]:
+    """Every graph on n vertices, connected or not, in which no cycle has a
+    chord: one canonical graph per isomorphism class, sorted.
+
+    Naive growth, with no orbit pruning: each graph on n-1 vertices plus a
+    vertex joined to every set of at most 2 of them.  Complete because a graph
+    of minimum degree 3 has a chorded cycle (Posa), and deleting a vertex
+    creates no chord.
+    """
+    from alphax.canonical import canonical_form
+
+    if n == 1:
+        return (Graph(1, (0,)),)
+    forms = set()
+    for g in chorded_cycle_free_graphs(n - 1):
+        for size in range(3):
+            for s in itertools.combinations(range(n - 1), size):
+                h = Graph.from_edge_list(n, [*g.edges(), *((v, n - 1) for v in s)])
+                if not any(chords_of_cycle(h, c) for c in all_cycles(h)):
+                    forms.add(canonical_form(h))
+    return tuple(f.graph() for f in sorted(forms))
+
+
 def random_graph(rng, n: int, p: float = 0.5) -> Graph:
     edges = [e for e in pair_list(n) if rng.random() < p]
     return Graph.from_edge_list(n, edges)

@@ -1,4 +1,5 @@
 import gc
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from alphax.enumeration import (
     generation_notes,
     ingest_class,
 )
-from alphax.graph import Graph, bits, pair_count
+from alphax.graph import Graph, bits
 from alphax.graph6 import parse_graph6_lines, write_graph6, write_graph6_lines
 from alphax.families import make_complete, make_cycle
 
@@ -26,6 +27,7 @@ from helpers import (
     all_cycles,
     brute_edge_connectivity,
     brute_vertex_connectivity,
+    chorded_cycle_free_graphs,
     chords_of_cycle,
     connected_class_reps,
     iter_all_graphs,
@@ -199,18 +201,18 @@ def test_base_level_keeps_every_member_minus_a_degree_k_vertex(flt):
 
 
 def test_base_level_is_pruned_for_the_scan7_classes():
-    # the top base level before the filter: 56 chorded-cycle-free graphs on 6
-    # vertices, and 80 connected ones with at most 3(7-3)-3 = 9 edges
-    assert len(enumeration._chorded_cycle_free(6)) == 56
+    # the top base level before the filter: 27 connected chorded-cycle-free
+    # graphs on 6 vertices, and 80 connected ones with at most 3(7-3)-3 = 9 edges
+    assert len(enumeration._chorded_cycle_free(6)) == 27
     assert len(enumeration._base(7, MIN_2EC)) == 19
-    assert len(enumeration._connected(6, 9)) == 80
+    assert sum(g.m <= 9 for g, _ in enumeration._connected(6)) == 80
     assert len(enumeration._base(7, MIN_3C)) == 21
 
 
 def test_joins_equal_checked_graphs():
     # _join_new_vertex skips Graph's checks: each join of a level graph to any
     # set of its vertices must be the graph the checked constructor builds
-    levels = [enumeration._connected(n, pair_count(n)) for n in range(1, 7)]
+    levels = [enumeration._connected(n) for n in range(1, 7)]
     levels += [enumeration._chorded_cycle_free(n) for n in range(1, 8)]
     joins = 0
     for g, _ in (member for level in levels for member in level):
@@ -220,7 +222,7 @@ def test_joins_equal_checked_graphs():
             want = Graph.from_edge_list(n + 1, [*g.edges(), *((v, n) for v in bits(s))])
             assert (h, h.m) == (want, want.m), (write_graph6(g), s)
             joins += 1
-    assert joins == 32624
+    assert joins == 20588  # sum of |level| * 2^n over the atlas counts
 
 
 def test_growth_leaves_no_cyclic_garbage():
@@ -240,14 +242,14 @@ def test_connected_levels_match_atlas_counts():
     want = [0] * 8
     for nxg in nx.graph_atlas_g()[1:]:
         want[nxg.number_of_nodes()] += nx.is_connected(nxg)
-    sizes = [len(enumeration._connected(n, pair_count(n))) for n in range(1, 8)]
+    sizes = [len(enumeration._connected(n)) for n in range(1, 8)]
     assert sizes == want[1:] == [1, 1, 2, 6, 21, 112, 853]
-    # a capped level is exactly the full level cut at the edge cap
-    for n, m_max in [(5, 4), (6, 8), (7, 9)]:
-        full = [g for g, _ in enumeration._connected(n, pair_count(n))]
-        capped = [g for g, _ in enumeration._connected(n, m_max)]
-        assert capped == [g for g in full if g.m <= m_max]
-    assert enumeration._connected(4, 2) == ()  # fewer than n-1 edges
+
+
+def test_every_level_is_connected():
+    for n in range(1, 9):
+        for level in (enumeration._connected(n), enumeration._chorded_cycle_free(n)):
+            assert all(g.is_connected() for g, _ in level), n
 
 
 @pytest.mark.parametrize(
@@ -262,16 +264,37 @@ def test_grown_class_reproduces_scan_snapshot_n8(name, flt, size):
     assert text.count("\n") == size
 
 
-def test_chorded_cycle_free_levels_match_atlas():
-    want: dict[int, int] = {}
+@lru_cache(maxsize=None)
+def _atlas_chorded_cycle_free() -> tuple[nx.Graph, ...]:
+    """The connected atlas graphs (1-7 vertices) in which no cycle has a chord."""
+    found = []
     for nxg in nx.graph_atlas_g()[1:]:
-        n = nxg.number_of_nodes()
-        g = Graph.from_edge_list(n, nxg.edges())
-        if not any(chords_of_cycle(g, cyc) for cyc in all_cycles(g)):
-            want[n] = want.get(n, 0) + 1
-    assert want == {1: 1, 2: 2, 3: 4, 4: 9, 5: 21, 6: 56, 7: 158}
+        g = Graph.from_edge_list(nxg.number_of_nodes(), nxg.edges())
+        if nx.is_connected(nxg) and not any(chords_of_cycle(g, c) for c in all_cycles(g)):
+            found.append(nxg)
+    return tuple(found)
+
+
+def test_chorded_cycle_free_levels_match_atlas():
+    want = Counter(nxg.number_of_nodes() for nxg in _atlas_chorded_cycle_free())
+    assert want == {1: 1, 2: 1, 3: 2, 4: 4, 5: 10, 6: 27, 7: 82}
     got = {n: len(enumeration._chorded_cycle_free(n)) for n in range(1, 8)}
     assert got == want
+
+
+def test_chorded_cycle_free_graphs_have_a_non_cut_vertex_of_degree_1_or_2():
+    # the fact that grows the connected chorded-cycle-free levels
+    for nxg in _atlas_chorded_cycle_free():
+        if nxg.number_of_nodes() >= 2:
+            cut = set(nx.articulation_points(nxg))
+            assert any(d in (1, 2) and v not in cut for v, d in nxg.degree()), nxg.edges()
+
+
+def test_chorded_cycle_free_levels_match_naive_growth():
+    # the naive grower keeps disconnected graphs and rests on Posa alone
+    for n in range(1, 9):
+        naive = [g for g in chorded_cycle_free_graphs(n) if g.is_connected()]
+        assert naive == [g for g, _ in enumeration._chorded_cycle_free(n)], n
 
 
 def _brute_minimal(g: Graph, k: int, conn) -> bool:
