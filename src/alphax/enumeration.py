@@ -162,8 +162,8 @@ def generation_notes(n: int, flt: ClassFilter) -> list[str]:
 
 def builtin_cap(flt: ClassFilter) -> int:
     """Largest order that enumerate_class generates for the class."""
-    # a measured limit (2-core Intel Xeon, Python 3.11.7): min-2-edge-connected
-    # grows to n = 12 in 13.3 s and 42 MB, to n = 13 in 62 s and 83 MB
+    # a measured limit (2-core Intel Xeon, Python 3.11.7): `alphax enumerate` grows
+    # min-2-edge-connected n = 12 in 13.3 s and 41.9 MB; _grow, n = 13: 63 s, 69 MB
     return 12 if flt == MIN_2EC else MAX_BUILTIN_N
 
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-import numpy as np
-
 MAX_VERTICES = 64
 
 
@@ -226,18 +224,6 @@ class Graph:
 
     def is_connected(self) -> bool:
         return len(self.component_masks()) == 1
-
-    def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.float64)
-        for u, v in self.edges():
-            a[u, v] = 1.0
-            a[v, u] = 1.0
-        return a
-
-
-def neighbor_degree_sum(g: Graph, u: int) -> int:
-    """Sum of deg(v) over neighbours v of u (0 for an isolated vertex)."""
-    return sum(g.degree(v) for v in bits(g.adjacency_rows()[u]))
 
 
 # -- edge-list text format -------------------------------------------------

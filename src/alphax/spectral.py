@@ -53,7 +53,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import Graph, bits, neighbor_degree_sum
+from .graph import Graph, bits
 
 TIE_TOL = 1e-8  # values closer than this are reported as tied, not ordered
 RESIDUAL_TOL = 1e-10  # eigh gives at most 7.1e-15 on the shipped class files, 201 alphas
@@ -105,19 +105,32 @@ class _Block(NamedTuple):
     masks: tuple[int, ...]
 
 
+def _adjacency(g: Graph) -> np.ndarray:
+    """The 0/1 adjacency matrix, read off the bitset rows."""
+    rows = np.array(g.adjacency_rows(), dtype=np.uint64)
+    return ((rows[:, None] >> np.arange(g.n, dtype=np.uint64)) & 1).astype(np.float64)
+
+
+def _alpha_matrices(adj: np.ndarray, deg: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """A_alpha = alpha*D + (1-alpha)*A stacked, matrix i at alphas[i]: adj (k, n, n)
+    with deg (k, n), or one graph's adj (n, n) with deg (n,) for every alpha."""
+    mat = (1.0 - alphas[:, None, None]) * adj
+    diag = np.arange(mat.shape[-1])
+    mat[:, diag, diag] += alphas[:, None] * deg
+    return mat
+
+
 def _blocks(graphs: Sequence[Graph]) -> list[_Block]:
     """Adjacency matrices and degree vectors of every component, built once."""
     parts: dict[int, list[tuple[int, int, Graph]]] = {}
     for idx, g in enumerate(graphs):
-        if g.n == 0:
-            raise ValueError("the alpha-index of the empty graph is undefined")
         comps = g.component_masks()
         for mask in comps:
             sub = g if len(comps) == 1 else g.induced_subgraph(mask)
             parts.setdefault(sub.n, []).append((idx, mask, sub))
     return [
         _Block(
-            np.stack([sub.adjacency_matrix() for _, _, sub in part]),
+            np.stack([_adjacency(sub) for _, _, sub in part]),
             np.array([sub.degrees() for _, _, sub in part], dtype=np.float64),
             np.array([idx for idx, _, _ in part], dtype=np.intp),
             tuple(mask for _, mask, _ in part),
@@ -141,10 +154,7 @@ def _perron(block: _Block, comp: np.ndarray, a: np.ndarray):
     residual, lower, upper = np.zeros(len(comp)), value.copy(), value.copy()
     rows = a < 1.0
     if rows.any():
-        s = a[rows]
-        mat = (1.0 - s[:, None, None]) * block.adj[comp[rows]]
-        diag = np.arange(deg.shape[1])
-        mat[:, diag, diag] += s[:, None] * deg[rows]
+        mat = _alpha_matrices(block.adj[comp[rows]], deg[rows], a[rows])
         w, v = np.linalg.eigh(mat)
         val, xs = w[:, -1], np.abs(v[:, :, -1])
         mx = (mat @ xs[:, :, None])[:, :, 0]
@@ -152,7 +162,7 @@ def _perron(block: _Block, comp: np.ndarray, a: np.ndarray):
         if res.max() > RESIDUAL_TOL:
             raise ConvergenceError(float(res.max()), RESIDUAL_TOL)
         ratio = np.divide(mx, xs, out=np.full_like(mx, np.inf), where=xs > 0.0)
-        slack = _slack(len(diag))
+        slack = _slack(deg.shape[1])
         value[rows], x[rows], residual[rows] = val, xs, res
         lower[rows], upper[rows] = ratio.min(axis=1) * (1 - slack), ratio.max(axis=1) * (1 + slack)
     return value, x, residual, lower, upper
@@ -256,17 +266,12 @@ def bound_upper_edge(g: Graph, alpha: float) -> float:
     a = validate_alpha(alpha)
     if g.min_degree() < 1:
         raise ValueError("edge bound needs minimum degree >= 1")
-    best = 0.0
-    for u, v in g.edges():
-        du, dv = g.degree(u), g.degree(v)
-        mu = neighbor_degree_sum(g, u) / du
-        mv = neighbor_degree_sum(g, v) / dv
-        val = 0.5 * (
-            a * (du + dv)
-            + np.sqrt((a * (du - dv)) ** 2 + 4.0 * (1.0 - a) ** 2 * mu * mv)
-        )
-        best = max(best, val)
-    return best
+    adj = _adjacency(g)
+    deg = adj.sum(axis=1)
+    avg = adj @ deg / deg
+    u, v = np.array(g.edges()).T
+    root = np.sqrt((a * (deg[u] - deg[v])) ** 2 + 4.0 * (1.0 - a) ** 2 * avg[u] * avg[v])
+    return float((0.5 * (a * (deg[u] + deg[v]) + root)).max())
 
 
 def bound_lower_delta(g: Graph, alpha: float) -> float:
@@ -294,14 +299,14 @@ def column_sum_certificate(g: Graph, alphas):
     form is wrong.  The alphas are evaluated as one numpy batch, giving one
     list of n floats per alpha.
     """
-    a = np.array([validate_alpha(x) for x in alphas], dtype=np.float64)[:, None]
-    deg = np.array(g.degrees(), dtype=np.int64)
-    nbr = np.array([neighbor_degree_sum(g, u) for u in range(g.n)], dtype=np.int64)
+    alphas = np.array([validate_alpha(x) for x in alphas], dtype=np.float64)
+    a = alphas[:, None]
+    adj = _adjacency(g)
+    deg = adj.sum(axis=1)
     const = 2.0 * (2.0 * a - 1.0) * (g.n - 2)
-    by_formula = a * deg**2 + (1.0 - a) * nbr - a * g.n * deg + const
-    mat = (1.0 - a[:, :, None]) * g.adjacency_matrix()
+    by_formula = a * deg**2 + (1.0 - a) * (adj @ deg) - a * g.n * deg + const
+    mat = _alpha_matrices(adj, deg, alphas)
     diag = np.arange(g.n)
-    mat[:, diag, diag] += a * deg
     b = mat @ mat - (a * g.n)[:, :, None] * mat
     b[:, diag, diag] += const
     by_matrix = b.sum(axis=1)

@@ -6,7 +6,7 @@ the library's own algorithms.
 """
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -18,10 +18,22 @@ ALPHA_GRID = (0.0, 0.25, 0.5, 0.6, 0.75, 0.9)
 
 
 def build_alpha_matrix(g: Graph, alpha: float) -> np.ndarray:
+    """alpha*D + (1-alpha)*A, with the off-diagonal entries set edge by edge."""
     a = validate_alpha(alpha)
-    mat = (1.0 - a) * g.adjacency_matrix()
-    mat[np.diag_indices(g.n)] += a * np.asarray(g.degrees(), dtype=np.float64)
+    mat = np.zeros((g.n, g.n))
+    for u, v in g.edges():
+        mat[u, v] = mat[v, u] = 1.0 - a
+    mat[np.diag_indices(g.n)] = a * np.asarray(g.degrees(), dtype=np.float64)
     return mat
+
+
+def neighbor_degree_sums(g: Graph) -> list[int]:
+    """S(u), the sum of u's neighbours' degrees, for every vertex u."""
+    deg, sums = g.degrees(), [0] * g.n
+    for u, v in g.edges():
+        sums[u] += deg[v]
+        sums[v] += deg[u]
+    return sums
 
 
 def eig_rho(g: Graph, alpha: float) -> float:
@@ -188,6 +200,33 @@ def chorded_cycle_free_graphs(n: int) -> tuple[Graph, ...]:
                 h = Graph.from_edge_list(n, [*g.edges(), *((v, n - 1) for v in s)])
                 if not any(chords_of_cycle(h, c) for c in all_cycles(h)):
                     forms.add(canonical_form(h))
+    return tuple(f.graph() for f in sorted(forms))
+
+
+@lru_cache(maxsize=None)
+def min2ec_without_chord_lemma(n: int) -> tuple[Graph, ...]:
+    """The minimally 2-edge-connected graphs on n vertices, one canonical graph
+    per class, sorted, grown from the connected levels without the chord lemma.
+
+    A member G has a vertex v of degree 2 (Mader 1971), G-v is connected, and
+    G has at most 2(n-1) edges (Mader's bound k(n-1)).  So G-v is a connected
+    graph on n-1 vertices with at most 2n-2-2 edges, minimum degree at least 1
+    and at most two vertices of degree 1: a join of ``_connected(n-2)`` that
+    ``_liftable`` keeps for k = 2.  Every join of a new vertex to two vertices
+    of such a graph goes through the class predicate.
+    """
+    from alphax.canonical import canonical_form
+    from alphax.enumeration import MIN_2EC, _connected_joins, _join_new_vertex, _level, _liftable
+
+    if n < 3:
+        return ()
+    base = _level(_connected_joins(n - 1, partial(_liftable, k=2, room=2 * n - 4)))
+    forms = set()
+    for g, _ in base:
+        for u, v in itertools.combinations(range(n - 1), 2):
+            h = _join_new_vertex(g, 1 << u | 1 << v)
+            if MIN_2EC.passes(h):
+                forms.add(canonical_form(h))
     return tuple(f.graph() for f in sorted(forms))
 
 

@@ -31,6 +31,7 @@ from helpers import (
     chords_of_cycle,
     connected_class_reps,
     iter_all_graphs,
+    min2ec_without_chord_lemma,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -343,6 +344,15 @@ def test_n9_class_file_regenerates_byte_identically():
     text = "".join(write_graph6(g) + "\n" for g in enumerate_class(9, MIN_2EC))
     assert text == (DATA / "min2ec_n9.g6").read_text("ascii")
     assert text.count("\n") == 63
+
+
+def test_min2ec_grows_the_same_without_the_chord_lemma():
+    # the generic growth from the connected levels, not the chorded-cycle-free ones
+    for n in range(1, 10):
+        grown = list(min2ec_without_chord_lemma(n))
+        assert grown == enumerate_class(n, MIN_2EC), n
+        if n >= 8:
+            assert write_graph6_lines(grown) == (DATA / f"min2ec_n{n}.g6").read_text("ascii")
 
 
 def test_n10_class_file_survives_ingestion():

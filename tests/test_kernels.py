@@ -1,6 +1,8 @@
 from alphax import kernels
-from alphax.graph import Graph, neighbor_degree_sum
+from alphax.graph import Graph
 from alphax.enumeration import ClassFilter
+
+from helpers import neighbor_degree_sums
 
 # minimum degree the scan requires: k for minimally k-(edge-)connected and
 # connected graphs, except K_1, whose one vertex has degree 0
@@ -32,7 +34,7 @@ def test_scan_masks_decode_to_class_members():
             g = Graph.from_edge_bits(n, mask)
             assert flt.passes(g)
             # the scan's labelling filter
-            keys = [(g.degree(v), neighbor_degree_sum(g, v)) for v in range(n)]
+            keys = list(zip(g.degrees(), neighbor_degree_sums(g)))
             assert keys == sorted(keys, reverse=True)
 
 
