@@ -75,18 +75,14 @@ def vertex_split(adj: tuple[int, ...]) -> list[int]:
     return split
 
 
-def vertex_disjoint_paths(
-    adj: tuple[int, ...], s: int, t: int, limit: int = _BIG, *, split: list[int]
-) -> int:
+def vertex_disjoint_paths(split: list[int], s: int, t: int, limit: int = _BIG) -> int:
     """Number of internally vertex-disjoint s-t paths, capped at ``limit``.
 
     Standard vertex splitting: v becomes v_in = 2v -> v_out = 2v+1, and edge
     uv becomes arcs u_out -> v_in and v_out -> u_in; the flow runs from s_out
     to t_in.  Unit edge arcs are exact, because every internal vertex passes
-    at most one unit.  Requires s and t non-adjacent, otherwise the count the
-    caller wants is not bounded by a vertex cut.  ``split`` is
-    ``vertex_split(adj)``, built once by callers that probe several pairs.
+    at most one unit.  An edge st is the arc s_out -> t_in and counts as one
+    path, so for adjacent s and t the count is 1 + kappa_{G - st}(s, t).
+    ``split`` is ``vertex_split(adj)``, built once per graph.
     """
-    if (adj[s] >> t) & 1:
-        raise ValueError("vertex_disjoint_paths requires non-adjacent endpoints")
     return _unit_flow(split, 2 * s + 1, 2 * t, limit)

@@ -1,19 +1,28 @@
 """Edge and vertex connectivity, and membership in minimally connected classes.
 
 Connectivity values come from unit-capacity max-flow (Menger), with early
-termination after k augmenting paths for the threshold variants.  The vertex
-version runs over a reduced pair schedule: fix a minimum-degree vertex v, then
-it is enough to probe v against its non-neighbours plus every non-adjacent
-pair inside N(v).  Any minimum cut either misses v (so it separates v from one
+termination after a few augmenting paths for the threshold and per-edge
+tests.  The vertex version runs over a reduced pair schedule: fix a
+minimum-degree vertex v, then it is enough to probe v against its
+non-neighbours plus every non-adjacent pair inside N(v).  Any minimum cut either misses v (so it separates v from one
 of its non-neighbours) or contains v, in which case v has neighbours in two
 different components of the cut and those two are a non-adjacent pair in N(v).
 
 A graph is minimally k-(edge-)connected when it is k-(edge-)connected and
-deleting any single edge destroys that property.  By Menger's theorem an edge
-uv of a k-(edge-)connected graph can be deleted without losing the property
-exactly when G - uv still has k edge-disjoint (internally vertex-disjoint)
-u-v paths, so each edge costs one flow capped at k instead of a full re-check.
-The same local test finds chords of cycles (k=2).
+deleting any single edge destroys that property.  Minimality is decided edge
+by edge, with paths counted on g itself and no edge-deleted copy, from two
+facts (Menger; Mader 1971 for the edge version):
+
+- the edge uv is one of the u-v paths, so g carries 1 + lambda_{G-uv}(u, v)
+  edge-disjoint and 1 + kappa_{G-uv}(u, v) internally disjoint u-v paths;
+- a cut of fewer than k edges in a connected graph is crossed by some edge,
+  and separates that edge's ends.
+
+So g is minimally k-edge-connected iff it is connected and every edge uv
+carries exactly k edge-disjoint u-v paths: no global threshold pass is
+needed.  A k-connected g is minimally k-connected iff no edge carries more
+than k internally disjoint paths, and at k = 2 such an edge is a chord of a
+cycle.
 """
 
 from __future__ import annotations
@@ -41,21 +50,6 @@ def edge_connectivity(g: Graph) -> int:
     return best
 
 
-def is_k_edge_connected(g: Graph, k: int) -> bool:
-    """Threshold test lambda(g) >= k; flows stop after k augmentations."""
-    _require_multi_vertex(g)
-    if k <= 0:
-        return True
-    if g.min_degree() < k:
-        return False  # lambda <= delta always
-    if not g.is_connected():
-        return False
-    adj = g.adjacency_rows()
-    return all(
-        _flow.edge_disjoint_paths(adj, 0, t, limit=k) >= k for t in range(1, g.n)
-    )
-
-
 def _vertex_pair_schedule(g: Graph) -> list[tuple[int, int]]:
     """Non-adjacent probe pairs that are guaranteed to witness a minimum cut."""
     n = g.n
@@ -76,11 +70,10 @@ def vertex_connectivity(g: Graph) -> int:
         return 0
     if g.m == g.n * (g.n - 1) // 2:
         return g.n - 1
-    adj = g.adjacency_rows()
-    split = _flow.vertex_split(adj)
+    split = _flow.vertex_split(g.adjacency_rows())
     best = g.n  # above every connectivity value
     for s, t in _vertex_pair_schedule(g):
-        best = min(best, _flow.vertex_disjoint_paths(adj, s, t, limit=best, split=split))
+        best = min(best, _flow.vertex_disjoint_paths(split, s, t, limit=best))
     return best
 
 
@@ -93,50 +86,45 @@ def is_k_connected(g: Graph, k: int) -> bool:
         return g.n - 1 >= k
     if g.min_degree() < k or not g.is_connected():
         return False
-    adj = g.adjacency_rows()
-    split = _flow.vertex_split(adj)
+    split = _flow.vertex_split(g.adjacency_rows())
     return all(
-        _flow.vertex_disjoint_paths(adj, s, t, limit=k, split=split) >= k
+        _flow.vertex_disjoint_paths(split, s, t, limit=k) >= k
         for s, t in _vertex_pair_schedule(g)
     )
 
 
-def _paths_survive_deletion(adj, u: int, v: int, k: int, split: list[int] | None) -> bool:
-    """G - uv still has k edge-disjoint u-v paths, or with ``split`` (G's
-    vertex split network) k internally vertex-disjoint ones."""
-    if adj[u].bit_count() <= k or adj[v].bit_count() <= k:
-        return False  # an endpoint keeps fewer than k edges
-    rows = list(adj)
-    rows[u] ^= 1 << v
-    rows[v] ^= 1 << u
-    if split is None:
-        return _flow.edge_disjoint_paths(rows, u, v, limit=k) >= k
-    # G - uv's split network lacks exactly the arcs u_out -> v_in and v_out -> u_in
-    split = split.copy()
-    split[2 * u + 1] ^= 1 << (2 * v)
-    split[2 * v + 1] ^= 1 << (2 * u)
-    return _flow.vertex_disjoint_paths(rows, u, v, limit=k, split=split) >= k
+def _edge_carries_more_than(g: Graph, k: int) -> bool:
+    """Some edge uv, with both ends of degree above k, carries more than k
+    internally disjoint u-v paths in g, so G - uv keeps k of them."""
+    degrees = g.degrees()
+    split = _flow.vertex_split(g.adjacency_rows())
+    return any(
+        degrees[u] > k and degrees[v] > k
+        and _flow.vertex_disjoint_paths(split, u, v, limit=k + 1) > k
+        for u, v in g.edges()
+    )
 
 
 def has_chorded_cycle(g: Graph) -> bool:
     """True iff some cycle of g has a chord.
 
-    An edge xy is a chord of some cycle exactly when g minus xy still has two
-    internally vertex-disjoint x-y paths.
+    An edge xy is a chord of some cycle exactly when it carries three
+    internally vertex-disjoint x-y paths: itself and two in g minus xy.
     """
-    adj = g.adjacency_rows()
-    split = _flow.vertex_split(adj)
-    return any(_paths_survive_deletion(adj, x, y, 2, split) for x, y in g.edges())
+    return _edge_carries_more_than(g, 2)
 
 
 def is_minimally_k_edge_connected(g: Graph, k: int) -> bool:
-    """lambda(g) >= k and every single edge deletion drops lambda below k."""
+    """lambda(g) >= k and every single edge deletion drops lambda below k,
+    that is: g is connected and every edge uv carries exactly k edge-disjoint
+    u-v paths (see the module docstring)."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    if not is_k_edge_connected(g, k):
-        return False
+    _require_multi_vertex(g)
     adj = g.adjacency_rows()
-    return not any(_paths_survive_deletion(adj, u, v, k, None) for u, v in g.edges())
+    return g.is_connected() and all(
+        _flow.edge_disjoint_paths(adj, u, v, limit=k + 1) == k for u, v in g.edges()
+    )
 
 
 def induces_forest(g: Graph, vertices: int) -> bool:
@@ -174,11 +162,8 @@ def is_minimally_k_connected(g: Graph, k: int) -> bool:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if not high_degree_forest(g, k) or not is_k_connected(g, k):
-        return False
-    adj = g.adjacency_rows()
-    split = _flow.vertex_split(adj)
-    return not any(_paths_survive_deletion(adj, u, v, k, split) for u, v in g.edges())
+    return (high_degree_forest(g, k) and is_k_connected(g, k)
+            and not _edge_carries_more_than(g, k))
 
 
 class ClassMembership(NamedTuple):

@@ -22,6 +22,7 @@ from helpers import (
     brute_vertex_connectivity,
     chords_of_cycle,
     connected_class_reps,
+    disjoint_union,
     random_graph,
 )
 
@@ -59,6 +60,10 @@ def test_single_vertex_rejected():
     for fn in (conn.vertex_connectivity, conn.edge_connectivity):
         with pytest.raises(ValueError):
             fn(g)
+    for fn in (conn.is_minimally_k_edge_connected, conn.is_minimally_k_connected):
+        for k in (1, 2):
+            with pytest.raises(ValueError):
+                fn(g, k)
 
 
 def test_threshold_predicates_consistent():
@@ -69,7 +74,6 @@ def test_threshold_predicates_consistent():
         lam = conn.edge_connectivity(g)
         for k in range(1, g.n):
             assert conn.is_k_connected(g, k) == (kappa >= k)
-            assert conn.is_k_edge_connected(g, k) == (lam >= k)
         # Whitney: kappa <= lambda <= delta
         assert kappa <= lam <= (g.min_degree() if g.n else 0)
 
@@ -162,14 +166,12 @@ def test_edge_disjoint_paths_match_networkx(query):
 @given(flow_queries())
 def test_vertex_disjoint_paths_match_networkx(query):
     g, s, t, limit = query
-    if g.has_edge(s, t):
-        adj = g.adjacency_rows()
-        with pytest.raises(ValueError):
-            _flow.vertex_disjoint_paths(adj, s, t, limit, split=_flow.vertex_split(adj))
-        g = g.delete_edge(s, t)
-    want = nx.algorithms.connectivity.local_node_connectivity(to_nx(g), s, t)
-    adj = g.adjacency_rows()
-    got = _flow.vertex_disjoint_paths(adj, s, t, limit, split=_flow.vertex_split(adj))
+    local = nx.algorithms.connectivity.local_node_connectivity
+    if g.has_edge(s, t):  # the edge st is one path, the rest avoid it
+        want = 1 + local(to_nx(g.delete_edge(s, t)), s, t)
+    else:
+        want = local(to_nx(g), s, t)
+    got = _flow.vertex_disjoint_paths(_flow.vertex_split(g.adjacency_rows()), s, t, limit)
     assert got == min(limit, want)
 
 
@@ -182,25 +184,26 @@ def test_vertex_flow_cancels_a_unit_to_reroute():
         (2, 8), (3, 6), (3, 7), (4, 10), (5, 7), (5, 9), (6, 9), (7, 9),
     ])
     assert nx.algorithms.connectivity.local_node_connectivity(to_nx(g), 2, 6) == 2
-    adj = g.adjacency_rows()
-    assert _flow.vertex_disjoint_paths(adj, 2, 6, split=_flow.vertex_split(adj)) == 2
+    assert _flow.vertex_disjoint_paths(_flow.vertex_split(g.adjacency_rows()), 2, 6) == 2
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(flow_queries())
-def test_deletion_test_matches_networkx(query):
-    g, u, v, k = query
+def test_path_counts_on_an_edge_match_networkx(query):
+    # the per-edge counts on g are one more than the local connectivities of g - uv
+    g, u, v, _ = query
     g = g if g.has_edge(u, v) else g.add_edge(u, v)
-    adj = g.adjacency_rows()
     rest = to_nx(g.delete_edge(u, v))
     local = nx.algorithms.connectivity
-    want_edge = local.local_edge_connectivity(rest, u, v) >= k
-    assert conn._paths_survive_deletion(adj, u, v, k, None) == want_edge
-    # the vertex test derives G - uv's split network from G's
-    split = _flow.vertex_split(adj)
-    want_vertex = local.local_node_connectivity(rest, u, v) >= k
-    assert conn._paths_survive_deletion(adj, u, v, k, split) == want_vertex
-    assert split == _flow.vertex_split(adj)  # the caller's network is left intact
+    adj = g.adjacency_rows()
+    assert _flow.edge_disjoint_paths(adj, u, v) == 1 + local.local_edge_connectivity(rest, u, v)
+    assert _flow.vertex_disjoint_paths(_flow.vertex_split(adj), u, v) == (
+        1 + local.local_node_connectivity(rest, u, v)
+    )
+
+
+def is_k_edge_connected(g, k):
+    return conn.edge_connectivity(g) >= k
 
 
 def definition_minimal(is_k, g, k):
@@ -212,7 +215,7 @@ def minimality_cases(draw):
     """A graph and k in 1..3; half the time pruned to a minimal member first."""
     g = draw(graphs_2_to_9(densities=(0.3, 0.5, 0.7, 0.9)))
     k = draw(st.integers(1, 3))
-    is_k = draw(st.sampled_from((conn.is_k_edge_connected, conn.is_k_connected)))
+    is_k = draw(st.sampled_from((is_k_edge_connected, conn.is_k_connected)))
     if draw(st.booleans()) and is_k(g, k):
         edges = draw(st.permutations(g.edges()))
         for u, v in edges:  # greedy deletion ends in a minimal graph
@@ -226,10 +229,13 @@ def minimality_cases(draw):
 @example((make_wheel(7), 3))
 @example((make_complete_bipartite(2, 6), 2))
 @example((make_complete(5), 3))
+# disconnected, yet every edge carries exactly k paths
+@example((disjoint_union(make_complete(3), make_complete(3)), 2))
+@example((disjoint_union(make_complete(4), make_complete(4)), 3))
 def test_minimality_predicates_match_definition(case):
     g, k = case
     assert conn.is_minimally_k_edge_connected(g, k) == definition_minimal(
-        conn.is_k_edge_connected, g, k
+        is_k_edge_connected, g, k
     )
     assert conn.is_minimally_k_connected(g, k) == definition_minimal(
         conn.is_k_connected, g, k

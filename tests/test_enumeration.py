@@ -255,11 +255,20 @@ def test_every_level_is_connected():
 
 @pytest.mark.parametrize(
     "name,flt,size",
-    [("min3c_n8.g6", MIN_3C, 18), ("min2c_n8.g6", MIN_2C, 12), ("min3ec_n8.g6", MIN_3EC, 34)],
-    ids=["min-3-connected", "min-2-connected", "min-3-edge-connected"],
+    [
+        ("min3c_n8.g6", MIN_3C, 18),
+        ("min2c_n8.g6", MIN_2C, 12),
+        ("min3ec_n8.g6", MIN_3EC, 34),
+        ("min4c_n8.g6", ClassFilter("min-vertex", 4), 13),
+        ("min4ec_n8.g6", ClassFilter("min-edge", 4), 17),
+    ],
+    ids=["min-3-connected", "min-2-connected", "min-3-edge-connected",
+         "min-4-connected", "min-4-edge-connected"],
 )
 def test_grown_class_reproduces_scan_snapshot_n8(name, flt, size):
-    # written by the labelled scan before these classes were grown
+    # min3c, min2c and min3ec were written by the labelled scan before these
+    # classes were grown; min4c and min4ec by the generator while its
+    # predicates still ran the flows on edge-deleted copies of each graph
     text = write_graph6_lines(enumerate_class(8, flt))
     assert text == (TEST_DATA / name).read_text("ascii")
     assert text.count("\n") == size
