@@ -292,9 +292,9 @@ def run() -> None:
         code = main()
     finally:
         # at exit the cyclic collector makes a final pass over every tracked
-        # object, numpy's import heap above all (about 10 ms a process); it
-        # skips frozen ones, which the OS reclaims.  atexit handlers, stream
-        # flushes and file closes still run.
+        # object, the import heap and the class caches (6-8 ms of a 90-110 ms
+        # command, measured without numpy); it skips frozen ones, which the
+        # OS reclaims.  atexit handlers, stream flushes and file closes still run.
         gc.freeze()
     sys.exit(code)
 

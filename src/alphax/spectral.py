@@ -1,22 +1,35 @@
 """The alpha-index: largest eigenvalue of A_alpha(G) = alpha*D + (1-alpha)*A.
 
-Graphs are split into connected components, and the (alpha, component)
-pairs to solve are stacked by component order into ``np.linalg.eigh`` calls,
-one alpha per matrix and never more matrices per call than there are
-components of that order.  Each solve yields a value, the infinity-norm
-residual ||Mx - rho x|| of the returned pair (above RESIDUAL_TOL it raises
-ConvergenceError), and the Collatz-Wielandt enclosure
+Everything here is pure Python: no matrix exceeds 64x64, and the campaigns
+solve at most 12x12.  Graphs are split into connected components, and each
+(alpha, component) pair is solved alone by Noda's iteration (Noda, Numer.
+Math. 17 (1971)), a shifted inverse iteration for the Perron pair of a
+nonnegative irreducible matrix M.  From a positive vector x, started at the
+degree vector, it takes the Collatz-Wielandt ratios (Mx)_i / x_i, whose
+extremes enclose the largest eigenvalue,
 
-    min_i (Mx)_i / x_i  <=  rho(M)  <=  max_i (Mx)_i / x_i
+    min_i (Mx)_i / x_i  <=  rho(M)  <=  max_i (Mx)_i / x_i  =  sigma,
 
-for x = |v|, v the top eigenvector.  It holds for any positive x because M is
-nonnegative and, for a connected graph with alpha < 1, irreducible; a zero
-entry of x makes the upper bound +inf.  The interval is widened outward by
-ENCLOSURE_SLACK_ULPS * n machine epsilons of its magnitude.  That covers the
-rounding in M, Mx and the ratios (about (n + 2) eps / 2 relative, all terms
-being nonnegative) and the error of the LAPACK eigenvalue: unwidened, the
-interval missed the ``eigvalsh`` value by up to 0.5 * n * eps relative, on
-the shipped n=8 class over 385 alphas and on 400 random graphs, n <= 12.
+solves (sigma*I - M) y = x by Gaussian elimination without pivoting, and
+moves to x = y / ||y||.  For sigma > rho, sigma*I - M is a nonsingular
+M-matrix: every pivot is positive, every multiplier and every update has one
+sign, so y > 0, and sigma falls to rho quadratically.  Once sigma equals rho
+to the last bits, the last pivot rounds to zero or below it; each pivot is
+floored at eps*sigma, and the step then acts as inverse iteration at an
+exact shift and sharpens x instead of failing.
+
+The iteration stops when the ratios agree to STOP_ULPS * n machine epsilons
+of sigma, n the component's order, which is above their rounding noise of
+about (n + 1) eps.  From the degree vector that took at most 7 steps on
+every member of data/min2ec_n{8..12}.g6 at 201 alphas and on the tests'
+graphs of up to 64 vertices; MAX_ITERATIONS caps it.  The last iterate x,
+with unit 2-norm, gives the value, its Rayleigh quotient x^T M x; the
+infinity-norm residual ||Mx - rho x||, above RESIDUAL_TOL a ConvergenceError;
+and the enclosure, the extreme ratios.  It holds for any positive x because
+M is nonnegative and, for a connected graph with alpha < 1, irreducible.
+The interval is widened outward by ENCLOSURE_SLACK_ULPS * n machine epsilons
+of its magnitude, which covers the rounding in M, Mx and the ratios (about
+(n + 2) eps / 2 relative, all terms being nonnegative).
 
 At alpha = 1, A_1 = D is reducible, so rho is the maximum degree with the
 exact enclosure [Delta, Delta].  A disconnected graph takes the maximum over
@@ -41,24 +54,28 @@ tied with the maximum, and B, which stands in for its enclosure, lies below
 the maximizer's lower end.  Its value, lower end and residual read -inf and
 its upper end reads B.
 
-The test oracle ``helpers.eig_rho`` is LAPACK too, so it is not independent
-of this solver: independence rests on the closed forms of the families
-(acceptance criterion 01) and on the enclosure, which is checked from the
-matrix and the vector alone.
+The test oracle ``helpers.eig_rho`` is a LAPACK eigensolve of a matrix the
+tests build edge by edge, so it is independent of this solver; so are the
+closed forms of the families (acceptance criterion 01), and the enclosure
+is checked from the matrix and the vector alone.
 """
 
 from __future__ import annotations
 
+import math
+import sys
+from operator import mul
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .graph import Graph, bits
 
 TIE_TOL = 1e-8  # values closer than this are reported as tied, not ordered
-RESIDUAL_TOL = 1e-10  # eigh gives at most 7.1e-15 on the shipped class files, 201 alphas
+RESIDUAL_TOL = 1e-10  # Noda gives at most 1.7e-14 on data/min2ec_n{8..11}.g6, 201 alphas
 CERT_TOL = 1e-9  # max allowed gap between matrix and closed-form column sums
 ENCLOSURE_SLACK_ULPS = 8  # per vertex, relative to the enclosure's magnitude
+STOP_ULPS = 4  # per vertex: the ratios' spread, relative to sigma, that ends a solve
+MAX_ITERATIONS = 32  # Noda steps per solve; the residual check judges the last iterate
+EPS = sys.float_info.epsilon
 
 
 def validate_alpha(alpha: float) -> float:
@@ -79,148 +96,166 @@ class ConvergenceError(RuntimeError):
 
 class SpectralResult(NamedTuple):
     radius: float
-    perron: np.ndarray
+    perron: list[float]
     residual: float
     lower: float
     upper: float
 
 
 class AlphaIndices(NamedTuple):
-    """Arrays of shape (len(alphas), len(graphs)); ``residual`` is the largest
+    """One row per alpha with one float per graph; ``residual`` is the largest
     among a graph's component solves."""
 
-    value: np.ndarray
-    residual: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
+    value: list[list[float]]
+    residual: list[list[float]]
+    lower: list[list[float]]
+    upper: list[list[float]]
 
 
-class _Block(NamedTuple):
-    """Components of one order: adjacency (k, n, n), degrees (k, n), the index
-    of the graph each belongs to, and its vertex set in that graph."""
+class _Component(NamedTuple):
+    """A connected component: its vertex set in the graph, and its degrees and
+    neighbour lists relabelled 0..k-1 in vertex order."""
 
-    adj: np.ndarray
-    deg: np.ndarray
-    owner: np.ndarray
-    masks: tuple[int, ...]
-
-
-def _adjacency(g: Graph) -> np.ndarray:
-    """The 0/1 adjacency matrix, read off the bitset rows."""
-    rows = np.array(g.adjacency_rows(), dtype=np.uint64)
-    return ((rows[:, None] >> np.arange(g.n, dtype=np.uint64)) & 1).astype(np.float64)
+    mask: int
+    deg: list[int]
+    nbrs: list[list[int]]
 
 
-def _alpha_matrices(adj: np.ndarray, deg: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """A_alpha = alpha*D + (1-alpha)*A stacked, matrix i at alphas[i]: adj (k, n, n)
-    with deg (k, n), or one graph's adj (n, n) with deg (n,) for every alpha."""
-    mat = (1.0 - alphas[:, None, None]) * adj
-    diag = np.arange(mat.shape[-1])
-    mat[:, diag, diag] += alphas[:, None] * deg
+def _components(g: Graph) -> list[_Component]:
+    rows = g.adjacency_rows()
+    comps = []
+    for mask in g.component_masks():
+        index = {v: i for i, v in enumerate(bits(mask))}
+        nbrs = [[index[w] for w in bits(rows[v])] for v in index]
+        comps.append(_Component(mask, [len(nb) for nb in nbrs], nbrs))
+    return comps
+
+
+def _alpha_matrix(comp: _Component, a: float) -> list[list[float]]:
+    """A_a = a*D + (1-a)*A of the component as a list of rows."""
+    b = 1.0 - a
+    mat = []
+    for i, (d, nb) in enumerate(zip(comp.deg, comp.nbrs)):
+        row = [0.0] * len(comp.deg)
+        for j in nb:
+            row[j] = b
+        row[i] = a * d
+        mat.append(row)
     return mat
 
 
-def _blocks(graphs: Sequence[Graph]) -> list[_Block]:
-    """Adjacency matrices and degree vectors of every component, built once."""
-    parts: dict[int, list[tuple[int, int, Graph]]] = {}
-    for idx, g in enumerate(graphs):
-        comps = g.component_masks()
-        for mask in comps:
-            sub = g if len(comps) == 1 else g.induced_subgraph(mask)
-            parts.setdefault(sub.n, []).append((idx, mask, sub))
-    return [
-        _Block(
-            np.stack([_adjacency(sub) for _, _, sub in part]),
-            np.array([sub.degrees() for _, _, sub in part], dtype=np.float64),
-            np.array([idx for idx, _, _ in part], dtype=np.intp),
-            tuple(mask for _, mask, _ in part),
-        )
-        for _, part in sorted(parts.items())
-    ]
+def _slack(n: int) -> float:
+    """Relative outward widening for n vertices."""
+    return ENCLOSURE_SLACK_ULPS * n * EPS
 
 
-def _slack(n):
-    """Relative outward widening for n vertices (an int or an array)."""
-    return ENCLOSURE_SLACK_ULPS * n * np.finfo(np.float64).eps
+def _shifted_solve(mat: list[list[float]], sigma: float, rhs: list[float]) -> list[float]:
+    """y with (sigma*I - mat) y = rhs, for a symmetric mat.
+
+    Gaussian elimination without pivoting, on the upper triangle only: every
+    Schur complement is symmetric too.  A pivot below eps*sigma is raised to it."""
+    n = len(rhs)
+    rows = [[-v for v in row] for row in mat]
+    for i in range(n):
+        rows[i][i] += sigma
+    y = list(rhs)
+    floor = EPS * sigma
+    for k, row in enumerate(rows):
+        pivot = row[k] = max(row[k], floor)
+        for i in range(k + 1, n):
+            f = row[i] / pivot
+            if f:
+                other = rows[i]
+                other[i:] = [u - f * v for u, v in zip(other[i:], row[i:])]
+                y[i] -= f * y[k]
+    for k in range(n - 1, -1, -1):
+        row = rows[k]
+        y[k] = (y[k] - sum(map(mul, row[k + 1:], y[k + 1:]))) / row[k]
+    return y
 
 
-def _perron(block: _Block, comp: np.ndarray, a: np.ndarray):
-    """(value, x, residual, lower, upper) of A_a on the components ``comp`` of
-    the block, row i at alpha a[i]; x = |v| has unit 2-norm."""
-    deg = block.deg[comp]
-    value = deg.max(axis=1)  # alpha = 1: A_1 = D
-    x = (deg == value[:, None]).astype(np.float64)
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    residual, lower, upper = np.zeros(len(comp)), value.copy(), value.copy()
-    rows = a < 1.0
-    if rows.any():
-        mat = _alpha_matrices(block.adj[comp[rows]], deg[rows], a[rows])
-        w, v = np.linalg.eigh(mat)
-        val, xs = w[:, -1], np.abs(v[:, :, -1])
-        mx = (mat @ xs[:, :, None])[:, :, 0]
-        res = np.max(np.abs(mx - val[:, None] * xs), axis=1)
-        if res.max() > RESIDUAL_TOL:
-            raise ConvergenceError(float(res.max()), RESIDUAL_TOL)
-        ratio = np.divide(mx, xs, out=np.full_like(mx, np.inf), where=xs > 0.0)
-        slack = _slack(deg.shape[1])
-        value[rows], x[rows], residual[rows] = val, xs, res
-        lower[rows], upper[rows] = ratio.min(axis=1) * (1 - slack), ratio.max(axis=1) * (1 + slack)
-    return value, x, residual, lower, upper
+def _perron(comp: _Component, a: float):
+    """(value, x, residual, lower, upper) of A_a on one component; x has unit
+    2-norm, and is positive where A_a is irreducible."""
+    deg = comp.deg
+    n = len(deg)
+    if a == 1.0 or n == 1:  # A_1 = D, and K_1 is the zero matrix
+        top = max(deg)
+        x = [float(d == top) for d in deg]
+        scale = math.sqrt(sum(x))
+        value = float(top)
+        return value, [t / scale for t in x], 0.0, value, value
+    mat = _alpha_matrix(comp, a)
+    x = [float(d) for d in deg]  # positive: the component has an edge
+    for step in range(MAX_ITERATIONS + 1):
+        scale = math.hypot(*x)
+        x = [t / scale for t in x]
+        mx = [sum(map(mul, row, x)) for row in mat]
+        ratios = [m / t for m, t in zip(mx, x)]
+        lo, sigma = min(ratios), max(ratios)
+        if sigma - lo <= STOP_ULPS * n * EPS * sigma or step == MAX_ITERATIONS:
+            break
+        x = _shifted_solve(mat, sigma, x)
+    value = sum(map(mul, x, mx))  # the Rayleigh quotient; x has unit norm
+    residual = max(abs(m - value * t) for m, t in zip(mx, x))
+    if residual > RESIDUAL_TOL:
+        raise ConvergenceError(residual, RESIDUAL_TOL)
+    slack = _slack(n)
+    return value, x, residual, lo * (1 - slack), sigma * (1 + slack)
 
 
-def _degree_bounds(blocks: list[_Block], count: int, alphas: np.ndarray) -> np.ndarray:
-    """max over vertices u of alpha*d(u) + (1-alpha)*S(u)/d(u), S(u) the sum of
-    the neighbours' degrees, for ``count`` graphs (columns) at each alpha (rows).
-    An isolated vertex contributes 0, so an edgeless graph's bound is 0."""
-    a = alphas[:, None]
-    out = np.zeros((len(alphas), count))
-    for block in blocks:
-        deg, div = block.deg, np.maximum(block.deg, 1.0)
-        nbr = (block.adj @ deg[:, :, None])[:, :, 0]
-        comp = np.zeros((len(alphas), len(deg)))
-        for u in range(deg.shape[1]):
-            np.maximum(comp, a * deg[:, u] + (1.0 - a) * nbr[:, u] / div[:, u], out=comp)
-        np.maximum.at(out, (slice(None), block.owner), comp)
-    return out
+def _neighbour_sums(g: Graph) -> list[int]:
+    """S(u), the sum of u's neighbours' degrees, for every vertex u."""
+    deg = g.degrees()
+    return [sum(deg[w] for w in bits(row)) for row in g.adjacency_rows()]
 
 
-def _solve(blocks: list[_Block], pick: np.ndarray, alphas: np.ndarray, out: AlphaIndices):
-    """Solve every component of each picked (alpha, graph) entry and fold the
-    components into ``out`` by maximum.  An ``eigh`` call stacks at most as many
-    matrices as the block has components, the size of a one-alpha stack."""
-    for block in blocks:
-        rows, comp = np.nonzero(pick[:, block.owner])
-        size = len(block.owner)
-        for s in range(0, len(rows), size):
-            r, c = rows[s:s + size], comp[s:s + size]
-            val, _, res, lo, hi = _perron(block, c, alphas[r])
-            for arr, part in zip(out, (val, res, lo, hi)):
-                np.maximum.at(arr, (r, block.owner[c]), part)
+def _degree_terms(g: Graph) -> set[tuple[int, int]]:
+    """The distinct (d(u), S(u)) over the vertices u of degree > 0."""
+    return {(d, s) for d, s in zip(g.degrees(), _neighbour_sums(g)) if d}
+
+
+def _degree_bound(terms: set[tuple[int, int]], a: float) -> float:
+    """max over the terms of a*d + (1-a)*S/d, or 0 if there is none."""
+    b = 1.0 - a
+    return max([a * d + b * s / d for d, s in terms], default=0.0)
 
 
 def alpha_indices(graphs: Sequence[Graph], alphas: Sequence[float]) -> AlphaIndices:
     """Certified alpha-index of every graph that can come first or second at
     each alpha; every other entry is pruned (see the module docstring)."""
-    alphas = np.array([validate_alpha(a) for a in alphas], dtype=np.float64)
-    blocks = _blocks(graphs)
-    out = AlphaIndices(*(np.full((len(alphas), len(graphs)), -np.inf) for _ in range(4)))
+    alphas = [validate_alpha(a) for a in alphas]
+    count = len(graphs)
+    out = AlphaIndices(*([[-math.inf] * count for _ in alphas] for _ in range(4)))
     if not graphs:
         return out
-    order = np.array([g.n for g in graphs])
-    bound = _degree_bounds(blocks, len(graphs), alphas) * (1 + _slack(order))
-    rows = np.arange(len(alphas))
-    first = bound.argmax(axis=1)
-    rest = bound.copy()
-    rest[rows, first] = -np.inf
-    second = rest.argmax(axis=1)
-    picked = np.zeros(bound.shape, dtype=bool)
-    picked[rows, first] = picked[rows, second] = True
-    _solve(blocks, picked, alphas, out)
-    runner_up = np.minimum(out.value[rows, first], out.value[rows, second])
-    todo = (bound >= (runner_up - TIE_TOL)[:, None]) & ~picked
-    _solve(blocks, todo, alphas, out)
-    pruned = ~(picked | todo)
-    out.upper[pruned] = bound[pruned]
+    comps = [_components(g) for g in graphs]
+    terms = [_degree_terms(g) for g in graphs]
+    widen = [1 + _slack(g.n) for g in graphs]
+
+    def solve(row: int, col: int, a: float) -> None:
+        for comp in comps[col]:
+            value, _, residual, lower, upper = _perron(comp, a)
+            for field, part in zip(out, (value, residual, lower, upper)):
+                field[row][col] = max(field[row][col], part)
+
+    for row, a in enumerate(alphas):
+        bound = [_degree_bound(t, a) * w for t, w in zip(terms, widen)]
+        first = max(range(count), key=bound.__getitem__)
+        second = max((j for j in range(count) if j != first), key=bound.__getitem__,
+                     default=first)
+        picked = {first, second}
+        for col in picked:
+            solve(row, col, a)
+        values = out.value[row]
+        floor = min(values[first], values[second]) - TIE_TOL
+        for col in range(count):
+            if col in picked:
+                continue
+            if bound[col] >= floor:
+                solve(row, col, a)
+            else:
+                out.upper[row][col] = bound[col]
     return out
 
 
@@ -234,16 +269,13 @@ def spectral_radius(g: Graph, alpha: float) -> SpectralResult:
     embedded in R^n; the first component (by least vertex) wins ties.
     """
     a = validate_alpha(alpha)
-    comps = []
-    for b in _blocks([g]):
-        every = np.arange(len(b.masks))
-        comps += zip(b.masks, *_perron(b, every, np.full(len(every), a)))
-    comps.sort(key=lambda c: c[0] & -c[0])  # by least vertex
-    mask, radius, x, residual, _, _ = max(comps, key=lambda c: c[1])
-    vec = np.zeros(g.n)
-    vec[list(bits(mask))] = x
-    lower, upper = (float(max(c[k] for c in comps)) for k in (4, 5))
-    return SpectralResult(float(radius), vec, float(residual), lower, upper)
+    solved = [(comp.mask, *_perron(comp, a)) for comp in _components(g)]
+    mask, radius, x, residual, _, _ = max(solved, key=lambda c: c[1])
+    vec = [0.0] * g.n
+    for v, t in zip(bits(mask), x):
+        vec[v] = t
+    lower, upper = (max(c[k] for c in solved) for k in (4, 5))
+    return SpectralResult(radius, vec, residual, lower, upper)
 
 
 # -- closed-form bounds ----------------------------------------------------
@@ -258,7 +290,7 @@ def bound_upper_degree(g: Graph, alpha: float) -> float:
     a = validate_alpha(alpha)
     if g.min_degree() < 1:
         raise ValueError("degree bound needs minimum degree >= 1")
-    return float(_degree_bounds(_blocks([g]), 1, np.array([a]))[0, 0])
+    return _degree_bound(_degree_terms(g), a)
 
 
 def bound_upper_edge(g: Graph, alpha: float) -> float:
@@ -266,12 +298,14 @@ def bound_upper_edge(g: Graph, alpha: float) -> float:
     a = validate_alpha(alpha)
     if g.min_degree() < 1:
         raise ValueError("edge bound needs minimum degree >= 1")
-    adj = _adjacency(g)
-    deg = adj.sum(axis=1)
-    avg = adj @ deg / deg
-    u, v = np.array(g.edges()).T
-    root = np.sqrt((a * (deg[u] - deg[v])) ** 2 + 4.0 * (1.0 - a) ** 2 * avg[u] * avg[v])
-    return float((0.5 * (a * (deg[u] + deg[v]) + root)).max())
+    deg = g.degrees()
+    avg = [s / d for s, d in zip(_neighbour_sums(g), deg)]
+    best = -math.inf
+    for u, v in g.edges():
+        t = a * (deg[u] - deg[v])
+        root = math.sqrt(t * t + 4.0 * (1.0 - a) ** 2 * avg[u] * avg[v])
+        best = max(best, 0.5 * (a * (deg[u] + deg[v]) + root))
+    return best
 
 
 def bound_lower_delta(g: Graph, alpha: float) -> float:
@@ -289,30 +323,37 @@ def bound_lower_delta(g: Graph, alpha: float) -> float:
 # -- column-sum certificate ------------------------------------------------
 
 
-def column_sum_certificate(g: Graph, alphas):
+def column_sum_certificate(g: Graph, alphas) -> list[list[float]]:
     """Column sums of B = A_alpha^2 - alpha*n*A_alpha + 2(2a-1)(n-2)*I, per alpha.
 
     Computed both from the matrix and from the closed form
     alpha*d(u)^2 + (1-alpha)*S(u) - alpha*n*d(u) + 2(2a-1)(n-2), where S(u)
-    is the neighbour degree sum.  The two routes must agree to CERT_TOL at
-    every alpha; any disagreement raises, since it would mean the closed
-    form is wrong.  The alphas are evaluated as one numpy batch, giving one
-    list of n floats per alpha.
+    is the neighbour degree sum.  The matrix route takes the column sums c of
+    A_alpha's entries, and then cA_alpha - alpha*n*c plus the constant, since
+    1^T A^2 = (1^T A) A; it reads only the nonzero entries: alpha*d(u) on the
+    diagonal and 1 - alpha at each edge.  The two routes must agree to
+    CERT_TOL at every alpha; any disagreement raises, since it would mean the
+    closed form is wrong.  The result is one list of n floats per alpha.
     """
-    alphas = np.array([validate_alpha(x) for x in alphas], dtype=np.float64)
-    a = alphas[:, None]
-    adj = _adjacency(g)
-    deg = adj.sum(axis=1)
-    const = 2.0 * (2.0 * a - 1.0) * (g.n - 2)
-    by_formula = a * deg**2 + (1.0 - a) * (adj @ deg) - a * g.n * deg + const
-    mat = _alpha_matrices(adj, deg, alphas)
-    diag = np.arange(g.n)
-    b = mat @ mat - (a * g.n)[:, :, None] * mat
-    b[:, diag, diag] += const
-    by_matrix = b.sum(axis=1)
-    gap = float(np.max(np.abs(by_matrix - by_formula), initial=0.0))
+    alphas = [validate_alpha(x) for x in alphas]
+    n = g.n
+    deg = g.degrees()
+    sums = _neighbour_sums(g)
+    nbrs = [list(bits(row)) for row in g.adjacency_rows()]
+    out = []
+    gap = 0.0
+    for a in alphas:
+        b = 1.0 - a
+        const = 2.0 * (2.0 * a - 1.0) * (n - 2)
+        by_formula = [a * d**2 + b * s - a * n * d + const for d, s in zip(deg, sums)]
+        diag = [a * d for d in deg]
+        col = [x + b * d for x, d in zip(diag, deg)]  # column u: its diagonal, d(u) times 1 - a
+        for c, x, nb, f in zip(col, diag, nbrs, by_formula):
+            by_matrix = c * x + b * sum([col[w] for w in nb]) - a * n * c + const
+            gap = max(gap, abs(by_matrix - f))
+        out.append(by_formula)
     if gap > CERT_TOL:
         raise AssertionError(
             f"column-sum closed form disagrees with the matrix by {gap:.3e}"
         )
-    return by_formula.tolist()
+    return out

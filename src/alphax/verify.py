@@ -228,7 +228,7 @@ def verify_theorem(name: str, n: int, alphas, *, source_graphs=None) -> list[Sea
     reports = []
     solved = alpha_indices(members, alphas)
     for row, alpha in enumerate(alphas):
-        values = solved.value[row].tolist()
+        values = solved.value[row]
         max_idx = max(range(len(values)), key=lambda i: values[i])
         max_value = values[max_idx]
         others = [v for i, v in enumerate(values) if i != max_idx]

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,8 @@ from alphax.families import (
 )
 
 from helpers import all_cycles, cap_address_space, chords_of_cycle, switch_edges
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_from_edge_list_basic():
@@ -151,12 +154,23 @@ def test_components_and_connectivity_flags():
     assert Graph.from_edge_list(1, []).is_connected()
 
 
-def test_graph_layer_loads_no_numpy():
-    # every matrix is built in spectral.py
+def test_graph_layer_loads_no_numpy(tmp_path):
     code = ("import sys, alphax.graph, alphax.graph6, alphax.canonical, alphax.connectivity, "
             "alphax.enumeration; print('numpy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout == "False\n"
+    # nor does a campaign: one scan7 and one sweep8 command of the benchmark,
+    # each in a fresh process through cli.main
+    grid = ",".join(str(0.5 + i / 256) for i in range(128))
+    for argv in (
+        ["verify", "thm11-odd", "--n", "7", "--alphas", "0.5,0.6,0.75,0.9,0.99"],
+        ["verify", "thm11-even", "--n", "8", "--in", str(ROOT / "data" / "min2ec_n8.g6"),
+         "--alphas", grid, "--out", str(tmp_path / "sweep8.json")],
+    ):
+        code = f"import sys; from alphax.cli import main; print(main({argv!r}), 'numpy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.splitlines()[-1] == "0 False"
 
 
 def test_edge_list_text_round_trip():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from pathlib import Path
@@ -13,6 +14,7 @@ from alphax.graph import Graph, pair_list
 from alphax.graph6 import parse_graph6_lines
 from alphax.spectral import (
     CERT_TOL,
+    RESIDUAL_TOL,
     TIE_TOL,
     ConvergenceError,
     alpha_indices,
@@ -42,7 +44,8 @@ from helpers import (
     random_graph,
 )
 
-DATA_FILE = Path(__file__).resolve().parent.parent / "data" / "min2ec_n8.g6"
+DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+DATA_FILE = DATA_DIR / "min2ec_n8.g6"
 
 
 def test_build_alpha_matrix_entries():
@@ -83,8 +86,8 @@ def test_disconnected_takes_component_maximum():
     res = spectral_radius(g, 0.5)
     assert abs(res.radius - 4.0) < 1e-10  # K_5 wins: regular of degree 4
     # Perron weight sits on the winning component, zero elsewhere
-    assert np.all(res.perron[:3] == 0.0)
-    assert np.all(res.perron[3:] > 0.0)
+    assert all(t == 0.0 for t in res.perron[:3])
+    assert all(t > 0.0 for t in res.perron[3:])
 
 
 def test_perron_positive_and_normalized():
@@ -94,8 +97,8 @@ def test_perron_positive_and_normalized():
         if not g.is_connected():
             continue
         res = spectral_radius(g, 0.75)
-        assert res.perron.min() > 0
-        assert abs(np.linalg.norm(res.perron) - 1.0) < 1e-9
+        assert min(res.perron) > 0
+        assert abs(math.hypot(*res.perron) - 1.0) < 1e-9
 
 
 def test_edgeless_graph_radius_zero():
@@ -158,8 +161,8 @@ def test_enclosure_contains_eigvalsh(g, alpha):
     assert res.lower <= ref <= res.upper
     assert res.lower <= res.radius <= res.upper
     assert abs(res.radius - ref) <= 1e-12
-    assert res.perron.min() >= 0
-    assert abs(np.linalg.norm(res.perron) - 1.0) < 1e-12
+    assert min(res.perron) >= 0
+    assert abs(math.hypot(*res.perron) - 1.0) < 1e-12
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -168,37 +171,100 @@ def test_enclosure_contains_eigvalsh(g, alpha):
 @example([make_complete(8), make_complete(7), make_cycle(6)])
 def test_batched_solve_matches_single_graph_view(graphs):
     out = alpha_indices(graphs, PROPERTY_ALPHAS)
-    assert out.value.shape == (len(PROPERTY_ALPHAS), len(graphs))
+    for field in out:
+        assert [len(row) for row in field] == [len(graphs)] * len(PROPERTY_ALPHAS)
     for i, a in enumerate(PROPERTY_ALPHAS):
-        solved = np.isfinite(out.value[i])
-        assert solved.sum() >= min(2, len(graphs))
-        runner_up = np.sort(out.value[i])[-min(2, len(graphs))]
+        solved = [math.isfinite(v) for v in out.value[i]]
+        assert sum(solved) >= min(2, len(graphs))
+        runner_up = sorted(out.value[i])[-min(2, len(graphs))]
         for j, g in enumerate(graphs):
-            assert out.upper[i, j] >= eig_rho(g, a)
+            assert out.upper[i][j] >= eig_rho(g, a)
             if solved[j]:
                 res = spectral_radius(g, a)
-                got = (out.value[i, j], out.lower[i, j], out.upper[i, j])
-                assert np.allclose(got, (res.radius, res.lower, res.upper), rtol=0, atol=1e-12)
-                assert out.residual[i, j] >= res.residual
+                got = (out.value[i][j], out.lower[i][j], out.upper[i][j])
+                assert all(abs(x - y) <= 1e-12
+                           for x, y in zip(got, (res.radius, res.lower, res.upper)))
+                assert out.residual[i][j] >= res.residual
             else:
-                assert out.upper[i, j] < runner_up - TIE_TOL
-                assert out.value[i, j] == out.lower[i, j] == -np.inf
+                assert out.upper[i][j] < runner_up - TIE_TOL
+                assert out.value[i][j] == out.lower[i][j] == -math.inf
 
 
 def test_only_contenders_are_solved(monkeypatch):
     members = parse_graph6_lines(DATA_FILE.read_text())
-    stacks = []
-    eigh = np.linalg.eigh
+    solves = []
+    perron = spectral._perron
 
-    def counting_eigh(mat):
-        stacks.append(len(mat))
-        return eigh(mat)
+    def counting_perron(comp, a):
+        solves.append(comp)
+        return perron(comp, a)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(spectral, "_perron", counting_perron)
     out = alpha_indices(members, [0.5 + i / 256 for i in range(128)])
     # 384 of 128 * 23 = 2,944 (alpha, member) pairs: every member is connected
-    assert sum(stacks) == np.isfinite(out.value).sum() == 384
-    assert max(stacks) <= len(members)  # no stack above one alpha's worth
+    assert len(solves) == sum(map(math.isfinite, itertools.chain(*out.value))) == 384
+    assert all(comp.mask == (1 << 8) - 1 for comp in solves)  # one solve per member
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_shipped_class_at_201_alphas(n):
+    # the pivot floor and the stopping rule at work: the shift of many of
+    # these solves lands on rho to the last bit
+    alphas = [i / 200 for i in range(201)]
+    for g in parse_graph6_lines((DATA_DIR / f"min2ec_n{n}.g6").read_text()):
+        out = alpha_indices([g], alphas)  # a one-graph call solves every alpha
+        for a, (value,), (residual,), (lower,), (upper,) in zip(alphas, *out):
+            ref = eig_rho(g, a)
+            assert abs(value - ref) <= 1e-12 * ref
+            assert lower <= ref <= upper
+            assert residual <= RESIDUAL_TOL
+
+
+def test_shifted_solve_at_an_exact_shift():
+    # K_2 at alpha = 0: sigma = rho = 1 makes sigma*I - A singular, and the
+    # floored pivot turns the solve into an inverse-iteration step
+    y = spectral._shifted_solve([[0.0, 1.0], [1.0, 0.0]], 1.0, [0.6, 0.8])
+    assert all(math.isfinite(t) and t > 0 for t in y)
+    assert y[0] / y[1] == pytest.approx(1.0, rel=1e-15, abs=0)
+
+
+def _bipartite(rng, left: int, right: int, p: float) -> Graph:
+    n = left + right
+    return Graph.from_edge_list(n, [(u, v) for u in range(left) for v in range(left, n)
+                                    if rng.random() < p])
+
+
+@st.composite
+def large_graphs(draw):
+    """Graphs on 1..64 vertices, random or random bipartite, sparse enough
+    to be often disconnected."""
+    n = draw(st.integers(1, 64))
+    p = draw(st.sampled_from((0.02, 0.05, 0.1, 0.3)))
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        left = rng.randrange(n + 1)
+        return _bipartite(rng, left, n - left, p)
+    return Graph.from_edge_list(n, [e for e in pair_list(n) if rng.random() < p])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(large_graphs(), st.sampled_from(PROPERTY_ALPHAS))
+@example(make_complete_bipartite(1, 63), 0.0)
+@example(make_complete_bipartite(1, 63), 0.5)
+@example(make_path(64), 0.0)
+@example(make_path(64), 0.9)
+@example(make_cycle(64), 0.0)
+@example(make_complete_bipartite(32, 32), 0.0)
+@example(_bipartite(random.Random(3), 20, 44, 0.1), 0.0)
+@example(disjoint_union(make_complete(20), make_path(44)), 0.0)
+@example(disjoint_union(make_complete_bipartite(1, 31), make_cycle(32)), 0.25)
+@example(disjoint_union(make_path(32), make_path(32)), 0.5)
+def test_solver_up_to_64_vertices(g, alpha):
+    ref = eig_rho(g, alpha)
+    res = spectral_radius(g, alpha)
+    assert abs(res.radius - ref) <= 1e-12 * ref
+    assert res.lower <= ref <= res.upper
+    assert res.residual <= RESIDUAL_TOL
 
 
 def test_alpha_one_is_max_degree_with_exact_enclosure():
@@ -207,16 +273,16 @@ def test_alpha_one_is_max_degree_with_exact_enclosure():
     assert res.radius == res.lower == res.upper == 5.0
     assert res.residual == 0.0
     # the degree-5 side carries the vector; the degree-2 side is zero
-    assert np.all(res.perron[:2] > 0) and np.all(res.perron[2:] == 0)
+    assert all(t > 0 for t in res.perron[:2]) and all(t == 0 for t in res.perron[2:])
 
 
 def test_enclosures_are_tight_on_the_shipped_class():
     # a one-graph call solves its graph at every alpha
     for g in parse_graph6_lines(DATA_FILE.read_text()):
         out = alpha_indices([g], [0.5, 0.75, 0.99])
-        width = out.upper - out.lower
-        assert np.all(width >= 0) and np.max(width / out.value) < 1e-6
-        assert np.all(out.lower <= out.value) and np.all(out.value <= out.upper)
+        for (value,), (lower,), (upper,) in zip(out.value, out.lower, out.upper):
+            assert 0 <= upper - lower < 1e-6 * value
+            assert lower <= value <= upper
 
 
 def test_known_radii():
@@ -329,8 +395,8 @@ def test_certificate_two_routes_agree():
 
 
 def test_certificate_grid_matches_scalar_loop_exactly():
-    # the numpy grid keeps the scalar formula's operation order, so the
-    # floats agree bit for bit, on the whole grid and on one-alpha grids
+    # the grid keeps the scalar formula's operation order, so the floats
+    # agree bit for bit, on the whole grid and on one-alpha grids
     rng = random.Random(7)
     grid = [0.0, 0.25, 0.5, 0.6, 0.75, 0.9, 1.0]
     for _ in range(10):
