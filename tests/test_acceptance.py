@@ -65,7 +65,7 @@ def strip_volatile(report) -> dict:
 
 def test_criterion_01_closed_forms_match_solver():
     grid = (0.0, 0.25, 0.5, 0.75, 0.9)
-    spectral_radius(make_wheel(4), 0.5)  # warm the kernels before timing
+    spectral_radius(make_wheel(4), 0.5)  # one untimed solve: the timing covers only the sweep
     start = time.perf_counter()
     worst = 0.0
     cases = 0

@@ -58,12 +58,19 @@ def _plain_minimal(flt: ClassFilter):
 
 
 @lru_cache(maxsize=None)
+def _labellings(n: int, k: int) -> tuple[Graph, ...]:
+    """The labelled scan's graphs with minimum degree k, before any class
+    predicate: one scan serves every class with this k."""
+    return tuple(Graph.from_edge_bits(n, m) for m in kernels.scan_masks(n, k, lambda g: True))
+
+
+@lru_cache(maxsize=None)
 def _scanned(n: int, flt: ClassFilter) -> tuple[Graph, ...]:
     """The class from the labelled scan, which uses no lemma, degree-k vertex or
     edge bound: every labelling with minimum degree k (forced by
     k-(edge-)connectivity) meets the plain predicate."""
-    masks = kernels.scan_masks(n, flt.k, _plain_minimal(flt))
-    return tuple(dedup_by_isomorphism(Graph.from_edge_bits(n, m) for m in masks))
+    passes = _plain_minimal(flt)
+    return tuple(dedup_by_isomorphism(g for g in _labellings(n, flt.k) if passes(g)))
 
 
 def test_filter_parsing():

@@ -1,10 +1,15 @@
+import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import alphax
+from alphax import kernels
 from alphax.connectivity import has_chorded_cycle
+from alphax.enumeration import ClassFilter
 from alphax.graph import Graph, bits, pair_list, parse_edge_list
 from alphax.families import (
     make_complete,
@@ -155,10 +160,23 @@ def test_components_and_connectivity_flags():
 
 
 def test_graph_layer_loads_no_numpy(tmp_path):
-    code = ("import sys, alphax.graph, alphax.graph6, alphax.canonical, alphax.connectivity, "
-            "alphax.enumeration; print('numpy' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+    # every module, the labelled scan included, imports and runs on the
+    # standard library alone: the child has no site-packages (python -S)
+    code = ("import importlib, pkgutil, alphax\n"
+            "names = [m.name for m in pkgutil.iter_modules(alphax.__path__)]\n"
+            "for name in names:\n"
+            "    importlib.import_module('alphax.' + name)\n"
+            "from alphax.enumeration import ClassFilter\n"
+            "from alphax.kernels import scan_masks\n"
+            "print(sorted(names))\n"
+            "print(scan_masks(5, 2, ClassFilter.parse('min-2-edge-connected').passes))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    names = sorted(m.name for m in pkgutil.iter_modules(alphax.__path__))
+    assert "kernels" in names
+    want = kernels.scan_masks(5, 2, ClassFilter.parse("min-2-edge-connected").passes)
+    assert out.stdout.splitlines() == [str(names), str(want)]
     # nor does a campaign: one scan7 and one sweep8 command of the benchmark,
     # each in a fresh process through cli.main
     grid = ",".join(str(0.5 + i / 256) for i in range(128))
