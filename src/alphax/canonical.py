@@ -46,7 +46,7 @@ graphs on 13 to 30 vertices.
 
 from __future__ import annotations
 
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 
 from .graph import Graph, bits
 from .graph6 import write_graph6
@@ -120,6 +120,33 @@ def orbit_reps(sets, automorphisms) -> list[int]:
     return reps
 
 
+@lru_cache(maxsize=None)
+def _weights(n: int) -> tuple[int, ...]:
+    """(n+1) ** (2n-1-c) for every colour id c < 2n: a neighbour count is a
+    base-(n+1) digit."""
+    return tuple((n + 1) ** (2 * n - 1 - c) for c in range(2 * n))
+
+
+def refine(colors: list[int], nbrs: list[list[int]]) -> list[int]:
+    """Iterate colour refinement of the graph with neighbour lists ``nbrs`` to a
+    fixpoint.  Colour ids must stay below 2n (individualization doubles them);
+    the result's are rank-normalized.  From the unit partition, the result is
+    the coarsest equitable partition."""
+    weight = _weights(len(nbrs))
+    top = weight[0] * (len(nbrs) + 1)
+    cells = len(set(colors))
+    while True:
+        keys = [
+            c * top - sum([weight[colors[u]] for u in nv])
+            for c, nv in zip(colors, nbrs)
+        ]
+        ranking = {key: i for i, key in enumerate(sorted(set(keys)))}
+        colors = [ranking[key] for key in keys]
+        if len(ranking) == cells:  # cells only split, so none split: fixpoint
+            return colors
+        cells = len(ranking)
+
+
 def canonical_form(g: Graph) -> CanonicalForm:
     n = g.n
     if n == 1:
@@ -127,26 +154,6 @@ def canonical_form(g: Graph) -> CanonicalForm:
     adj = g.adjacency_rows()
     nbrs = [list(bits(row)) for row in adj]
     rep = _twin_reps(n, adj)
-    # colour ids stay below 2n (individualization doubles them), and a
-    # neighbour count is a base-(n+1) digit
-    base = n + 1
-    weight = [base ** (2 * n - 1 - c) for c in range(2 * n)]
-    top = base ** (2 * n)
-
-    def refine(colors: list[int]) -> list[int]:
-        """Iterate colour refinement to a fixpoint; colour ids are rank-normalized."""
-        cells = len(set(colors))
-        while True:
-            keys = [
-                c * top - sum([weight[colors[u]] for u in nv])
-                for c, nv in zip(colors, nbrs)
-            ]
-            ranking = {key: i for i, key in enumerate(sorted(set(keys)))}
-            colors = [ranking[key] for key in keys]
-            if len(ranking) == cells:  # cells only split, so none split: fixpoint
-                return colors
-            cells = len(ranking)
-
     degs = g.degrees()
     degree_rank = {d: i for i, d in enumerate(sorted(set(degs)))}
 
@@ -208,14 +215,14 @@ def canonical_form(g: Graph) -> CanonicalForm:
             new_colors[v] -= 1
             order.append(v)
             codes.append(code)
-            resume = dfs(refine(new_colors), order, codes)
+            resume = dfs(refine(new_colors, nbrs), order, codes)
             order.pop()
             codes.pop()
             if resume < pos:
                 return resume
         return pos - 1
 
-    dfs(refine([degree_rank[d] for d in degs]), [], [])
+    dfs(refine([degree_rank[d] for d in degs], nbrs), [], [])
     del dfs  # empties the closure cell through which dfs refers to itself, a cycle
     packed = 0
     for pos, code in enumerate(best):

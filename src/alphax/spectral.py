@@ -1,40 +1,59 @@
 """The alpha-index: largest eigenvalue of A_alpha(G) = alpha*D + (1-alpha)*A.
 
-Everything here is pure Python: no matrix exceeds 64x64, and the campaigns
-solve at most 12x12.  Graphs are split into connected components, and each
-(alpha, component) pair is solved alone by Noda's iteration (Noda, Numer.
-Math. 17 (1971)), a shifted inverse iteration for the Perron pair of a
-nonnegative irreducible matrix M.  From a positive vector x, started at the
-degree vector, it takes the Collatz-Wielandt ratios (Mx)_i / x_i, whose
-extremes enclose the largest eigenvalue,
+Everything here is pure Python.  Graphs are split into connected components,
+and each (alpha, component) pair is solved alone, on the component's coarsest
+equitable partition: colour refinement from the unit partition
+(``canonical.refine``) splits its n vertices into k cells, each vertex of
+cell i having B_ij neighbours in cell j; cell i has N_i vertices of degree
+d_i.  A_alpha maps the vectors constant on the cells to themselves, and the
+symmetric k x k matrix M with entries alpha*d_i*[i = j] + (1-alpha)*sqrt(B_ij
+B_ji), similar to the quotient alpha*diag(d) + (1-alpha)*B, holds its
+largest eigenvalue (Godsil and Royle, Algebraic Graph Theory, 2001, ch. 9).
+A Perron vector z of M lifts to one of A_alpha: x_v = z_i / sqrt(N_i) for v
+in cell i, and ||x|| = ||z||.  F_k, K_{2,n-2} and W_n have k = 2.
 
-    min_i (Mx)_i / x_i  <=  rho(M)  <=  max_i (Mx)_i / x_i  =  sigma,
+M is solved by Noda's iteration (Noda, Numer. Math. 17 (1971)), a shifted
+inverse iteration for the Perron pair of a nonnegative irreducible matrix.
+From a positive vector z it takes the Collatz-Wielandt ratios (Mz)_i / z_i,
+whose extremes enclose the largest eigenvalue,
 
-solves (sigma*I - M) y = x by Gaussian elimination without pivoting, and
-moves to x = y / ||y||.  For sigma > rho, sigma*I - M is a nonsingular
+    min_i (Mz)_i / z_i  <=  rho(M)  <=  max_i (Mz)_i / z_i  =  sigma,
+
+solves (sigma*I - M) y = z by Gaussian elimination without pivoting, and
+moves to z = y / ||y||.  For sigma > rho, sigma*I - M is a nonsingular
 M-matrix: every pivot is positive, every multiplier and every update has one
 sign, so y > 0, and sigma falls to rho quadratically.  Once sigma equals rho
 to the last bits, the last pivot rounds to zero or below it; each pivot is
 floored at eps*sigma, and the step then acts as inverse iteration at an
-exact shift and sharpens x instead of failing.
+exact shift and sharpens z instead of failing.  The unknowns are eliminated
+in ascending order of z, so that this pivot belongs to the largest entry:
+near alpha = 1 a Perron vector can span nine orders of magnitude, and a
+small entry eliminated last is lost in the rounding of the pivots before it.
 
 The iteration stops when the ratios agree to STOP_ULPS * n machine epsilons
-of sigma, n the component's order, which is above their rounding noise of
-about (n + 1) eps.  From the degree vector that took at most 7 steps on
-every member of data/min2ec_n{8..12}.g6 at 201 alphas and on the tests'
-graphs of up to 64 vertices; MAX_ITERATIONS caps it.  The last iterate x,
-with unit 2-norm, gives the value, its Rayleigh quotient x^T M x; the
-infinity-norm residual ||Mx - rho x||, above RESIDUAL_TOL a ConvergenceError;
-and the enclosure, the extreme ratios.  It holds for any positive x because
-M is nonnegative and, for a connected graph with alpha < 1, irreducible.
-The interval is widened outward by ENCLOSURE_SLACK_ULPS * n machine epsilons
-of its magnitude, which covers the rounding in M, Mx and the ratios (about
-(n + 2) eps / 2 relative, all terms being nonnegative).
+of sigma, above their rounding noise of about (k + 1) eps.  ``alpha_indices``
+starts each solve from the vector the component's last solve ended on, and
+a first solve, like ``spectral_radius``, from the degree vector,
+z_i = sqrt(N_i) d_i.  On every member of data/min2ec_n{8..12}.g6 at 201
+alphas that took at most 7 steps from the degree vector, and at most 6, 3 on
+average, warm; MAX_ITERATIONS caps it.
+
+The certificate is taken on A_alpha itself, from the lifted x alone: the
+value, its Rayleigh quotient x^T A_alpha x / x^T x, both sums exact
+(math.fsum), since the lift has unit norm only to rounding; the
+infinity-norm residual ||A_alpha x - rho x||, above RESIDUAL_TOL a
+ConvergenceError (so cells that are not equitable are caught); and the
+enclosure, the extreme ratios (A_alpha x)_v / x_v.  It holds for any
+positive x because A_alpha is nonnegative and, for a connected graph with
+alpha < 1, irreducible.  The interval is widened outward by
+ENCLOSURE_SLACK_ULPS * n machine epsilons of its magnitude, which covers
+the rounding in A_alpha, A_alpha x and the ratios (about (n + 2) eps / 2
+relative, all terms being nonnegative).
 
 At alpha = 1, A_1 = D is reducible, so rho is the maximum degree with the
-exact enclosure [Delta, Delta].  A disconnected graph takes the maximum over
-its components, with the enclosure [max lo, max hi]; K_1 is the 1x1 zero
-matrix.
+exact enclosure [Delta, Delta], and the warm-start vector is left as it was.
+A disconnected graph takes the maximum over its components, with the
+enclosure [max lo, max hi]; K_1 is the 1x1 zero matrix.
 
 ``alpha_indices`` solves only the graphs that can come first or second at
 each alpha.  A graph's alpha-index is at most its degree bound
@@ -67,6 +86,7 @@ import sys
 from operator import mul
 from typing import NamedTuple, Sequence
 
+from .canonical import refine
 from .graph import Graph, bits
 
 TIE_TOL = 1e-8  # values closer than this are reported as tied, not ordered
@@ -113,35 +133,43 @@ class AlphaIndices(NamedTuple):
 
 
 class _Component(NamedTuple):
-    """A connected component: its vertex set in the graph, and its degrees and
-    neighbour lists relabelled 0..k-1 in vertex order."""
+    """A connected component: its vertex set in the graph; its degrees and
+    neighbour lists relabelled 0..n-1 in vertex order; and its cells 0..k-1
+    (``_components`` gives the coarsest equitable partition): each vertex's
+    cell, each cell's size N_i and degree d_i, and sqrt(B_ij * B_ji) for every
+    cell pair, B_ij the neighbours in cell j of the first vertex of cell i."""
 
     mask: int
     deg: list[int]
     nbrs: list[list[int]]
+    cell: list[int]
+    size: list[int]
+    cdeg: list[int]
+    root: list[list[float]]
+
+
+def _component(mask: int, nbrs: list[list[int]], cell: list[int]) -> _Component:
+    """The component with the given cells, its quotient read off each cell's first vertex."""
+    k = max(cell) + 1
+    count = [[0] * k for _ in range(k)]
+    for i, row in enumerate(count):
+        for w in nbrs[cell.index(i)]:
+            row[cell[w]] += 1
+    return _Component(mask, [len(nb) for nb in nbrs], nbrs, cell,
+                      [cell.count(i) for i in range(k)], [sum(row) for row in count],
+                      [[math.sqrt(u * v) for u, v in zip(row, col)]
+                       for row, col in zip(count, zip(*count))])
 
 
 def _components(g: Graph) -> list[_Component]:
+    """Each component with its coarsest equitable partition."""
     rows = g.adjacency_rows()
     comps = []
     for mask in g.component_masks():
         index = {v: i for i, v in enumerate(bits(mask))}
         nbrs = [[index[w] for w in bits(rows[v])] for v in index]
-        comps.append(_Component(mask, [len(nb) for nb in nbrs], nbrs))
+        comps.append(_component(mask, nbrs, refine([0] * len(nbrs), nbrs)))
     return comps
-
-
-def _alpha_matrix(comp: _Component, a: float) -> list[list[float]]:
-    """A_a = a*D + (1-a)*A of the component as a list of rows."""
-    b = 1.0 - a
-    mat = []
-    for i, (d, nb) in enumerate(zip(comp.deg, comp.nbrs)):
-        row = [0.0] * len(comp.deg)
-        for j in nb:
-            row[j] = b
-        row[i] = a * d
-        mat.append(row)
-    return mat
 
 
 def _slack(n: int) -> float:
@@ -150,15 +178,19 @@ def _slack(n: int) -> float:
 
 
 def _shifted_solve(mat: list[list[float]], sigma: float, rhs: list[float]) -> list[float]:
-    """y with (sigma*I - mat) y = rhs, for a symmetric mat.
+    """y with (sigma*I - mat) y = rhs, for a symmetric mat and a positive rhs.
 
     Gaussian elimination without pivoting, on the upper triangle only: every
-    Schur complement is symmetric too.  A pivot below eps*sigma is raised to it."""
+    Schur complement is symmetric too.  A pivot below eps*sigma is raised to it.
+    The unknowns are eliminated in ascending order of rhs, so that the largest
+    entry of the Perron vector comes last: once sigma reaches rho, only the
+    last pivot is near zero, and the others keep their accuracy."""
     n = len(rhs)
-    rows = [[-v for v in row] for row in mat]
+    order = sorted(range(n), key=rhs.__getitem__)
+    rows = [[-mat[i][j] for j in order] for i in order]
     for i in range(n):
         rows[i][i] += sigma
-    y = list(rhs)
+    y = [rhs[i] for i in order]
     floor = EPS * sigma
     for k, row in enumerate(rows):
         pivot = row[k] = max(row[k], floor)
@@ -171,12 +203,17 @@ def _shifted_solve(mat: list[list[float]], sigma: float, rhs: list[float]) -> li
     for k in range(n - 1, -1, -1):
         row = rows[k]
         y[k] = (y[k] - sum(map(mul, row[k + 1:], y[k + 1:]))) / row[k]
-    return y
+    return [t for _, t in sorted(zip(order, y))]
 
 
-def _perron(comp: _Component, a: float):
-    """(value, x, residual, lower, upper) of A_a on one component; x has unit
-    2-norm, and is positive where A_a is irreducible."""
+def _perron(comp: _Component, a: float, start: list[float] | None = None):
+    """(value, z, x, residual, lower, upper) of A_a on one component.
+
+    Noda's iteration runs on the symmetrized quotient from the positive
+    quotient vector ``start``, or from the degree vector's if it is None; z is
+    its last iterate (``start`` itself where no iteration runs), and x the lift
+    of z to the component, with unit 2-norm and positive where A_a is
+    irreducible.  The value, residual and enclosure are taken on A_a itself."""
     deg = comp.deg
     n = len(deg)
     if a == 1.0 or n == 1:  # A_1 = D, and K_1 is the zero matrix
@@ -184,24 +221,30 @@ def _perron(comp: _Component, a: float):
         x = [float(d == top) for d in deg]
         scale = math.sqrt(sum(x))
         value = float(top)
-        return value, [t / scale for t in x], 0.0, value, value
-    mat = _alpha_matrix(comp, a)
-    x = [float(d) for d in deg]  # positive: the component has an edge
+        return value, start, [t / scale for t in x], 0.0, value, value
+    b = 1.0 - a
+    mat = [[b * r for r in row] for row in comp.root]
+    for i, d in enumerate(comp.cdeg):
+        mat[i][i] += a * d
+    z = start or [math.sqrt(s) * d for s, d in zip(comp.size, comp.cdeg)]
     for step in range(MAX_ITERATIONS + 1):
-        scale = math.hypot(*x)
-        x = [t / scale for t in x]
-        mx = [sum(map(mul, row, x)) for row in mat]
-        ratios = [m / t for m, t in zip(mx, x)]
+        scale = math.hypot(*z)
+        z = [t / scale for t in z]
+        ratios = [sum(map(mul, row, z)) / t for row, t in zip(mat, z)]
         lo, sigma = min(ratios), max(ratios)
         if sigma - lo <= STOP_ULPS * n * EPS * sigma or step == MAX_ITERATIONS:
             break
-        x = _shifted_solve(mat, sigma, x)
-    value = sum(map(mul, x, mx))  # the Rayleigh quotient; x has unit norm
+        z = _shifted_solve(mat, sigma, z)
+    y = [t / math.sqrt(s) for t, s in zip(z, comp.size)]
+    x = [y[c] for c in comp.cell]
+    mx = [a * d * t + b * sum([x[w] for w in nb]) for d, t, nb in zip(deg, x, comp.nbrs)]
+    ratios = [m / t for m, t in zip(mx, x)]
+    value = math.fsum(map(mul, x, mx)) / math.fsum(map(mul, x, x))  # the Rayleigh quotient
     residual = max(abs(m - value * t) for m, t in zip(mx, x))
     if residual > RESIDUAL_TOL:
         raise ConvergenceError(residual, RESIDUAL_TOL)
     slack = _slack(n)
-    return value, x, residual, lo * (1 - slack), sigma * (1 + slack)
+    return value, z, x, residual, min(ratios) * (1 - slack), max(ratios) * (1 + slack)
 
 
 def _neighbour_sums(g: Graph) -> list[int]:
@@ -230,12 +273,13 @@ def alpha_indices(graphs: Sequence[Graph], alphas: Sequence[float]) -> AlphaIndi
     if not graphs:
         return out
     comps = [_components(g) for g in graphs]
+    starts = [[None] * len(c) for c in comps]  # the last quotient vector of each component
     terms = [_degree_terms(g) for g in graphs]
     widen = [1 + _slack(g.n) for g in graphs]
 
     def solve(row: int, col: int, a: float) -> None:
-        for comp in comps[col]:
-            value, _, residual, lower, upper = _perron(comp, a)
+        for i, comp in enumerate(comps[col]):
+            value, starts[col][i], _, residual, lower, upper = _perron(comp, a, starts[col][i])
             for field, part in zip(out, (value, residual, lower, upper)):
                 field[row][col] = max(field[row][col], part)
 
@@ -270,11 +314,11 @@ def spectral_radius(g: Graph, alpha: float) -> SpectralResult:
     """
     a = validate_alpha(alpha)
     solved = [(comp.mask, *_perron(comp, a)) for comp in _components(g)]
-    mask, radius, x, residual, _, _ = max(solved, key=lambda c: c[1])
+    mask, radius, _, x, residual, _, _ = max(solved, key=lambda c: c[1])
     vec = [0.0] * g.n
     for v, t in zip(bits(mask), x):
         vec[v] = t
-    lower, upper = (max(c[k] for c in solved) for k in (4, 5))
+    lower, upper = (max(c[k] for c in solved) for k in (5, 6))
     return SpectralResult(radius, vec, residual, lower, upper)
 
 

@@ -32,6 +32,7 @@ from alphax.families import (
     make_friendship,
     make_path,
     make_wheel,
+    rho_join_regular,
 )
 
 from helpers import (
@@ -184,7 +185,10 @@ def test_batched_solve_matches_single_graph_view(graphs):
                 got = (out.value[i][j], out.lower[i][j], out.upper[i][j])
                 assert all(abs(x - y) <= 1e-12
                            for x, y in zip(got, (res.radius, res.lower, res.upper)))
-                assert out.residual[i][j] >= res.residual
+                # a one-alpha call starts cold, as spectral_radius does
+                one = alpha_indices([g], [a]).residual[0][0]
+                parts = [spectral._perron(c, a)[3] for c in spectral._components(g)]
+                assert one == max(parts) >= res.residual
             else:
                 assert out.upper[i][j] < runner_up - TIE_TOL
                 assert out.value[i][j] == out.lower[i][j] == -math.inf
@@ -195,9 +199,9 @@ def test_only_contenders_are_solved(monkeypatch):
     solves = []
     perron = spectral._perron
 
-    def counting_perron(comp, a):
+    def counting_perron(comp, a, start):
         solves.append(comp)
-        return perron(comp, a)
+        return perron(comp, a, start)
 
     monkeypatch.setattr(spectral, "_perron", counting_perron)
     out = alpha_indices(members, [0.5 + i / 256 for i in range(128)])
@@ -218,6 +222,55 @@ def test_shipped_class_at_201_alphas(n):
             assert abs(value - ref) <= 1e-12 * ref
             assert lower <= ref <= upper
             assert residual <= RESIDUAL_TOL
+
+
+def test_each_solve_starts_where_the_last_one_ended(monkeypatch):
+    ends = {}  # the quotient vector each component's last solve ended on
+    perron = spectral._perron
+
+    def checking_perron(comp, a, start):
+        assert start is ends.get(id(comp))  # None: the first solve starts cold
+        result = perron(comp, a, start)
+        ends[id(comp)] = result[1]
+        return result
+
+    monkeypatch.setattr(spectral, "_perron", checking_perron)
+    graphs = [disjoint_union(make_wheel(7), make_path(5)), make_friendship(3)]
+    alpha_indices(graphs, [0.5, 0.9, 1.0, 0.7, 0.0])
+    assert len(ends) == 3 and all(ends.values())
+
+
+def test_alpha_order_does_not_change_the_values():
+    # each solve starts from the vector the last one found, so the three
+    # orders start every alpha from different vectors
+    ascending = [i / 200 for i in range(201)]
+    descending = ascending[::-1]
+    shuffled = random.Random(27).sample(ascending, len(ascending))
+    for g in parse_graph6_lines(DATA_FILE.read_text()):
+        runs = []
+        for alphas in (ascending, descending, shuffled):
+            out = alpha_indices([g], alphas)
+            for a, (lower,), (upper,) in zip(alphas, out.lower, out.upper):
+                assert lower <= eig_rho(g, a) <= upper
+            runs.append(dict(zip(alphas, (v for v, in out.value))))
+        for a in ascending:
+            values = [run[a] for run in runs]
+            assert max(values) - min(values) <= 1e-14 * values[0]
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_perron_vectors_spanning_nine_orders_near_alpha_one(n):
+    # near alpha = 1 a Perron vector can fall from 1 at the hub to 1e-9; the
+    # solve must eliminate the hub last, in any vertex labelling
+    for g in parse_graph6_lines((DATA_DIR / f"min2ec_n{n}.g6").read_text()):
+        hub_first = sorted(range(n), key=lambda v: -g.degree(v))
+        label = {v: i for i, v in enumerate(hub_first)}
+        h = Graph.from_edge_list(n, [(label[u], label[v]) for u, v in g.edges()])
+        for a in (0.99, 0.999):
+            ref = eig_rho(g, a)
+            res = spectral_radius(h, a)
+            assert abs(res.radius - ref) <= 1e-12 * ref
+            assert res.lower <= ref <= res.upper
 
 
 def test_shifted_solve_at_an_exact_shift():
@@ -293,6 +346,88 @@ def test_known_radii():
     # r-regular graphs have radius exactly r for every alpha
     for a in ALPHA_GRID:
         assert abs(spectral_radius(make_cycle(9), a).radius - 2.0) < 1e-10
+
+
+# -- equitable quotients ---------------------------------------------------
+
+
+def _cell_counts(comp, v):
+    """Neighbours of v per cell."""
+    counts = [0] * len(comp.size)
+    for w in comp.nbrs[v]:
+        counts[comp.cell[w]] += 1
+    return counts
+
+
+def _blocks(cell):
+    return {frozenset(v for v, c in enumerate(cell) if c == i) for i in set(cell)}
+
+
+def _stable_colouring(nbrs):
+    """Colour refinement from the unit partition, with tuple keys."""
+    colors = [0] * len(nbrs)
+    while True:
+        keys = [(c, tuple(sorted(colors[w] for w in nv))) for c, nv in zip(colors, nbrs)]
+        ranking = {key: i for i, key in enumerate(sorted(set(keys)))}
+        if len(ranking) == len(set(colors)):
+            return colors
+        colors = [ranking[key] for key in keys]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_graphs())
+def test_components_carry_their_coarsest_equitable_partition(g):
+    for comp in spectral._components(g):
+        k = len(comp.size)
+        assert sorted(set(comp.cell)) == list(range(k))
+        assert comp.size == [comp.cell.count(i) for i in range(k)]
+        rows = [_cell_counts(comp, comp.cell.index(i)) for i in range(k)]
+        for v, c in enumerate(comp.cell):
+            assert _cell_counts(comp, v) == rows[c]  # equitable
+        assert comp.cdeg == [sum(row) for row in rows]
+        assert comp.root == [[math.sqrt(rows[i][j] * rows[j][i]) for j in range(k)]
+                             for i in range(k)]
+        assert _blocks(comp.cell) == _blocks(_stable_colouring(comp.nbrs))  # coarsest
+
+
+TWO_CELL_FAMILIES = [
+    (make_complete_bipartite(2, 5), (0, 2, 0, 5)),
+    (make_complete_bipartite(2, 10), (0, 2, 0, 10)),
+    (make_complete_bipartite(3, 4), (0, 3, 0, 4)),
+    (make_complete_bipartite(3, 9), (0, 3, 0, 9)),
+    (make_friendship(3), (0, 1, 1, 6)),
+    (make_friendship(5), (0, 1, 1, 10)),
+    (make_wheel(7), (0, 1, 2, 6)),
+    (make_wheel(12), (0, 1, 2, 11)),
+]
+
+
+@pytest.mark.parametrize("g, parts", TWO_CELL_FAMILIES,
+                         ids=["K2,5", "K2,10", "K3,4", "K3,9", "F3", "F5", "W7", "W12"])
+def test_named_maximizers_have_a_two_cell_quotient(g, parts):
+    (comp,) = spectral._components(g)
+    assert len(comp.size) == 2
+    rng = random.Random(g.n)
+    for a in [0.0, 0.5, *(rng.random() for _ in range(5))]:
+        quotient = a * np.diag(comp.cdeg) + (1 - a) * np.array(comp.root)
+        top = float(np.linalg.eigvalsh(quotient)[-1])
+        assert abs(top - rho_join_regular(*parts, a)) <= 1e-12 * top
+        assert abs(top - eig_rho(g, a)) <= 1e-12 * top
+
+
+@pytest.mark.parametrize("g, cell", [
+    (make_path(4), [0, 0, 0, 0]),
+    (make_path(5), [1, 0, 0, 0, 1]),  # the degree partition: not equitable
+    (make_complete_bipartite(2, 5), [0, 0, 1, 1, 1, 1, 0]),
+], ids=["P4-one-cell", "P5-degrees", "K2,5-mixed"])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
+def test_a_partition_that_is_not_equitable_is_caught(g, cell, alpha):
+    # the quotient converges, but its lift is no eigenvector of A_alpha:
+    # the residual is taken on the whole graph
+    (comp,) = spectral._components(g)
+    bad = spectral._component(comp.mask, comp.nbrs, cell)
+    with pytest.raises(ConvergenceError):
+        spectral._perron(bad, alpha)
 
 
 # -- bounds ----------------------------------------------------------------
