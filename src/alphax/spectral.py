@@ -91,7 +91,6 @@ from .graph import Graph, bits
 
 TIE_TOL = 1e-8  # values closer than this are reported as tied, not ordered
 RESIDUAL_TOL = 1e-10  # Noda gives at most 1.7e-14 on data/min2ec_n{8..11}.g6, 201 alphas
-CERT_TOL = 1e-9  # max allowed gap between matrix and closed-form column sums
 ENCLOSURE_SLACK_ULPS = 8  # per vertex, relative to the enclosure's magnitude
 STOP_ULPS = 4  # per vertex: the ratios' spread, relative to sigma, that ends a solve
 MAX_ITERATIONS = 32  # Noda steps per solve; the residual check judges the last iterate
@@ -370,34 +369,39 @@ def bound_lower_delta(g: Graph, alpha: float) -> float:
 def column_sum_certificate(g: Graph, alphas) -> list[list[float]]:
     """Column sums of B = A_alpha^2 - alpha*n*A_alpha + 2(2a-1)(n-2)*I, per alpha.
 
-    Computed both from the matrix and from the closed form
-    alpha*d(u)^2 + (1-alpha)*S(u) - alpha*n*d(u) + 2(2a-1)(n-2), where S(u)
-    is the neighbour degree sum.  The matrix route takes the column sums c of
-    A_alpha's entries, and then cA_alpha - alpha*n*c plus the constant, since
-    1^T A^2 = (1^T A) A; it reads only the nonzero entries: alpha*d(u) on the
-    diagonal and 1 - alpha at each edge.  The two routes must agree to
-    CERT_TOL at every alpha; any disagreement raises, since it would mean the
-    closed form is wrong.  The result is one list of n floats per alpha.
+    One list of n floats per alpha, from the closed form
+    alpha*d(u)^2 + (1-alpha)*S(u) - alpha*n*d(u) + 2(2a-1)(n-2), S(u) the
+    neighbour degree sum.  Once per graph the closed form is checked against
+    the matrix exactly, in Z[alpha]: A_alpha has d(u)*alpha on the diagonal and
+    1 - alpha at each edge, so the matrix route, the column sums c of A_alpha
+    and then cA_alpha - alpha*n*c plus the constant (1^T A^2 = (1^T A) A),
+    gives each column sum of B as integer coefficients of 1, alpha, alpha^2.
+    Any difference from the closed form's raises AssertionError; equal
+    polynomials agree at every alpha.  Per alpha only the closed form is
+    evaluated, so the floats do not depend on the check.
     """
     alphas = [validate_alpha(x) for x in alphas]
     n = g.n
     deg = g.degrees()
     sums = _neighbour_sums(g)
     nbrs = [list(bits(row)) for row in g.adjacency_rows()]
+    col = [(len(nb), d - len(nb)) for d, nb in zip(deg, nbrs)]  # c_u as c0 + c1*alpha
+    m = 2 * (n - 2)  # the constant 2(2a-1)(n-2) is 2m*alpha - m
+    for u, (d, s, nb, (c0, c1)) in enumerate(zip(deg, sums, nbrs, col)):
+        e0, e1 = sum(col[w][0] for w in nb), sum(col[w][1] for w in nb)
+        # column u of cA_alpha is c_u*(d*alpha) + the sum over w of c_w*(1 - alpha)
+        by_matrix = (e0 - m, c0 * d + e1 - e0 - n * c0 + 2 * m, c1 * d - e1 - n * c1)
+        closed = (s - m, d * d - s - n * d + 2 * m, 0)
+        if by_matrix != closed:
+            raise AssertionError(
+                f"column-sum closed form {closed} disagrees with the matrix {by_matrix}"
+                f" at vertex {u} (coefficients of 1, alpha, alpha^2)"
+            )
+    squares = [d * d for d in deg]
     out = []
-    gap = 0.0
     for a in alphas:
         b = 1.0 - a
+        an = a * n
         const = 2.0 * (2.0 * a - 1.0) * (n - 2)
-        by_formula = [a * d**2 + b * s - a * n * d + const for d, s in zip(deg, sums)]
-        diag = [a * d for d in deg]
-        col = [x + b * d for x, d in zip(diag, deg)]  # column u: its diagonal, d(u) times 1 - a
-        for c, x, nb, f in zip(col, diag, nbrs, by_formula):
-            by_matrix = c * x + b * sum([col[w] for w in nb]) - a * n * c + const
-            gap = max(gap, abs(by_matrix - f))
-        out.append(by_formula)
-    if gap > CERT_TOL:
-        raise AssertionError(
-            f"column-sum closed form disagrees with the matrix by {gap:.3e}"
-        )
+        out.append([a * dd + b * s - an * d + const for d, dd, s in zip(deg, squares, sums)])
     return out

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from alphax import spectral
 from alphax.cli import main
 from alphax.graph import Graph, pair_list
-from alphax.graph6 import parse_graph6_lines
+from alphax.graph6 import parse_graph6_lines, write_graph6
 from alphax.spectral import (
-    CERT_TOL,
     RESIDUAL_TOL,
     TIE_TOL,
     ConvergenceError,
@@ -526,7 +525,7 @@ def test_certificate_two_routes_agree():
         n = g.n
         mat = build_alpha_matrix(g, a)
         b = mat @ mat - a * n * mat + 2 * (2 * a - 1) * (n - 2) * np.eye(n)
-        assert np.max(np.abs(np.asarray(sums) - b.sum(axis=0))) <= CERT_TOL
+        assert np.max(np.abs(np.asarray(sums) - b.sum(axis=0))) <= 1e-9
 
 
 def test_certificate_grid_matches_scalar_loop_exactly():
@@ -550,3 +549,61 @@ def test_certificate_grid_matches_scalar_loop_exactly():
                 for u in range(g.n)
             ]
 
+
+def _float_certificate(g, alphas):
+    """The certificate in floats: the closed form at every alpha, checked
+    against the matrix route at that alpha to 1e-9."""
+    n = g.n
+    deg = g.degrees()
+    sums = neighbor_degree_sums(g)
+    nbrs = [[w for w in range(n) if g.has_edge(u, w)] for u in range(n)]
+    out = []
+    for a in alphas:
+        b = 1.0 - a
+        const = 2.0 * (2.0 * a - 1.0) * (n - 2)
+        by_formula = [a * d**2 + b * s - a * n * d + const for d, s in zip(deg, sums)]
+        diag = [a * d for d in deg]
+        col = [x + b * d for x, d in zip(diag, deg)]
+        for c, x, nb, f in zip(col, diag, nbrs, by_formula):
+            by_matrix = c * x + b * sum([col[w] for w in nb]) - a * n * c + const
+            assert abs(by_matrix - f) <= 1e-9
+        out.append(by_formula)
+    return out
+
+
+def _bits_of(rows):
+    return [[x.hex() for x in row] for row in rows]  # tells -0.0 from 0.0
+
+
+def _certificate_cases():
+    rng = random.Random(28)
+    members = [g for n in (8, 9)
+               for g in parse_graph6_lines((DATA_DIR / f"min2ec_n{n}.g6").read_text())]
+    # K1, K2 and a path with an isolated vertex
+    small = [make_path(1), make_path(2), Graph.from_edge_list(5, [(0, 1), (1, 2), (2, 3)])]
+    return members + small + [random_graph(rng, rng.randint(2, 12), rng.random())
+                              for _ in range(40)]
+
+
+def test_certificate_floats_are_those_of_the_float_loop(capsys):
+    # bit for bit, in the returned lists and in `certify-colsums GRAPH`'s lines
+    grid = [0.0, -0.0, 0.5, 1.0] + [0.5 + i / 256 for i in range(128)]
+    for g in _certificate_cases():
+        want = _float_certificate(g, grid)
+        assert _bits_of(column_sum_certificate(g, grid)) == _bits_of(want)
+        code = main(["certify-colsums", write_graph6(g), "--alphas=" + ",".join(map(repr, grid))])
+        lines = [f"alpha={a!r} colsums: " + " ".join(f"{s:.9g}" for s in row)
+                 for a, row in zip(grid, want)]
+        assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
+        assert code == (0 if all(max(row) < 0 for row in want) else 1)
+
+
+@pytest.mark.parametrize("g", [make_cycle(5), make_complete_bipartite(2, 6), make_wheel(7)],
+                         ids=["C5", "K2,6", "W7"])
+def test_the_exact_check_catches_a_closed_form_off_by_one(monkeypatch, g):
+    # S(1) one too large in the closed form; the matrix route reads the graph itself
+    true_sums = spectral._neighbour_sums
+    monkeypatch.setattr(spectral, "_neighbour_sums",
+                        lambda h: [s + (u == 1) for u, s in enumerate(true_sums(h))])
+    with pytest.raises(AssertionError, match="at vertex 1 "):
+        column_sum_certificate(g, [0.5])
