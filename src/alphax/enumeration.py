@@ -45,8 +45,31 @@ isomorphically onto B+sigma(S).  Every filter on S is Aut(B)-invariant, so
 the candidate sets form whole orbits: the edge room (B's edge count plus
 |S|), the size k, ``S & low == low`` (``low``, the vertices of degree
 below k, is a union of orbits) and the base level's degree conditions (on
-the degrees of B+S).  Joins of different base graphs can still
-be isomorphic, so every level is still deduplicated by canonical form.
+the degrees of B+S).
+
+A join is kept only if no eligible vertex has a smaller invariant, (degree,
+sum of the neighbours' degrees), than the new vertex: McKay's canonical
+construction path (B. D. McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26, 1998) with that invariant in place of a canonical
+labelling.  No class is lost if every eligible vertex, not just some, deletes
+into the level below: then for a graph H of the level and an eligible vertex w
+of least invariant, H-w is a graph of that level up to isomorphism, and its
+join to the image of N(w) is H with w as the new vertex, which the rule keeps
+(an isomorphism keeps invariants and eligibility).  The eligible vertices:
+
+* connected graphs: the non-cut vertices, whose deletion keeps H connected;
+* chorded-cycle-free graphs: the non-cut vertices of degree at most 2, whose
+  deletion leaves a connected chorded-cycle-free graph; Posa's leaf-block
+  argument above gives one;
+* members: the vertices of degree k.  For each, G-v is connected (above) and
+  meets the base level's conditions: degrees at least k-1, at most k of them
+  below k, the edge room and, for the vertex classes, the forest (a vertex of
+  degree above k in G-v has degree above k in G).
+
+The rule reads only the joined graph, like the base level's filters and the
+chord test, so it commutes with them and with the orbit choice of S.  Joins
+that tie in the invariant can still be isomorphic, so every level is still
+deduplicated by canonical form.
 
 Built-in generation covers n <= 12 for minimally 2-edge-connected graphs and
 n <= 8 for the other classes; larger orders, up to graph6's 62 vertices, are
@@ -63,7 +86,7 @@ from itertools import combinations
 
 from . import connectivity
 from .canonical import CanonicalForm, canonical_form, orbit_reps
-from .graph import Graph, pair_count
+from .graph import Graph, bits, pair_count
 
 MAX_BUILTIN_N = 8  # cap of every class but min-2-edge-connected
 
@@ -163,7 +186,7 @@ def generation_notes(n: int, flt: ClassFilter) -> list[str]:
 def builtin_cap(flt: ClassFilter) -> int:
     """Largest order that enumerate_class generates for the class."""
     # a measured limit (2-core Intel Xeon, Python 3.11.7): `alphax enumerate` grows
-    # min-2-edge-connected n = 12 in 13.3 s and 41.9 MB; _grow, n = 13: 63 s, 69 MB
+    # min-2-edge-connected n = 12 in 7.0 s and 26.0 MB; _grow, n = 13: 37 s, 61 MB
     return 12 if flt == MIN_2EC else MAX_BUILTIN_N
 
 
@@ -219,12 +242,48 @@ def _connected(n: int) -> Level:
     return _K1 if n == 1 else _level(_connected_joins(n))
 
 
+def _invariant(degs: list[int], row: int) -> tuple[int, int]:
+    """The (degree, sum of the neighbours' degrees) of the vertex with adjacency
+    row ``row`` in a graph with degrees ``degs``: an isomorphism invariant."""
+    return row.bit_count(), sum([degs[u] for u in bits(row)])
+
+
+def _last_is_least(h: Graph, eligible) -> bool:
+    """True unless some vertex u of h with ``eligible(h, u)`` has a smaller
+    invariant than h's last vertex, the one just joined."""
+    degs, adj = h.degrees(), h.adjacency_rows()
+    last = _invariant(degs, adj[-1])
+    # a vertex of higher degree has a larger invariant: its sum is never taken
+    return not any(d <= last[0] and _invariant(degs, row) < last and eligible(h, u)
+                   for u, (d, row) in enumerate(zip(degs, adj[:-1])))
+
+
+def _non_cut(h: Graph, u: int) -> bool:
+    """h - u is connected (h is)."""
+    adj = h.adjacency_rows()
+    rest = ((1 << h.n) - 1) ^ (1 << u)
+    reach = frontier = rest & -rest
+    while frontier:
+        ext = 0
+        for v in bits(frontier):
+            ext |= adj[v]
+        frontier = ext & rest & ~reach
+        reach |= frontier
+    return reach == rest
+
+
+def _non_cut_of_degree_at_most_2(h: Graph, u: int) -> bool:
+    return h.degree(u) <= 2 and _non_cut(h, u)
+
+
 def _connected_joins(n: int, sieve=_all_sets):
     """Each graph of _connected(n-1) plus a vertex joined to one nonempty set per
-    orbit that passes ``sieve(g, sets)``; deleting a non-cut vertex, such as a
-    leaf of a spanning tree, keeps a graph connected."""
-    return (_join_new_vertex(g, s) for g, autos in _connected(n - 1)
-            for s in orbit_reps(sieve(g, range(1, 1 << (n - 1))), autos))
+    orbit that passes ``sieve(g, sets)``, if no non-cut vertex has a smaller
+    invariant than the new one."""
+    return (h for g, autos in _connected(n - 1)
+            for h in (_join_new_vertex(g, s)
+                      for s in orbit_reps(sieve(g, range(1, 1 << (n - 1))), autos))
+            if _last_is_least(h, _non_cut))
 
 
 @lru_cache(maxsize=None)
@@ -240,11 +299,13 @@ def _chorded_cycle_free(n: int) -> Level:
 
 def _chorded_cycle_free_joins(n: int, sieve=_all_sets):
     """The graphs of _chorded_cycle_free(n), one or more per class, from the
-    join sets of degree 1 or 2 that pass ``sieve(g, sets)``."""
+    join sets of degree 1 or 2 that pass ``sieve(g, sets)``, if no non-cut
+    vertex of degree at most 2 has a smaller invariant than the new one."""
     joins = (*(1 << v for v in range(n - 1)), *_k_sets(n - 1, 2))
     return (h for g, autos in _chorded_cycle_free(n - 1)
             for h in (_join_new_vertex(g, s) for s in orbit_reps(sieve(g, joins), autos))
-            if h.degree(n - 1) < 2 or not connectivity.has_chorded_cycle(h))
+            if _last_is_least(h, _non_cut_of_degree_at_most_2)
+            and (h.degree(n - 1) < 2 or not connectivity.has_chorded_cycle(h)))
 
 
 def _liftable(g: Graph, sets, k: int, room: int) -> list[int]:
@@ -284,7 +345,8 @@ def _grow(n: int, flt: ClassFilter) -> Level:
     for g, autos in _base(n, flt):  # the new vertex must lift every base degree below k
         low = sum(1 << v for v, d in enumerate(g.degrees()) if d < k)
         sets = orbit_reps((s for s in _k_sets(n - 1, k) if s & low == low), autos)
-        members += filter(flt.passes, (_join_new_vertex(g, s) for s in sets))
+        members += (h for h in (_join_new_vertex(g, s) for s in sets)
+                    if _last_is_least(h, lambda x, u: x.degree(u) == k) and flt.passes(h))
     return _level(members)
 
 

@@ -1,10 +1,13 @@
 import gc
 from collections import Counter
 from functools import lru_cache
+from itertools import combinations
 from pathlib import Path
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphax import connectivity, enumeration, kernels
 from alphax.canonical import canonical_form
@@ -19,7 +22,7 @@ from alphax.enumeration import (
     generation_notes,
     ingest_class,
 )
-from alphax.graph import Graph, bits
+from alphax.graph import Graph, bits, pair_list
 from alphax.graph6 import parse_graph6_lines, write_graph6, write_graph6_lines
 from alphax.families import make_complete, make_cycle
 
@@ -32,6 +35,7 @@ from helpers import (
     connected_class_reps,
     iter_all_graphs,
     min2ec_without_chord_lemma,
+    perm_apply,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -378,3 +382,113 @@ def test_n10_class_file_survives_ingestion():
     shipped = parse_graph6_lines(text)
     assert len(shipped) == 159
     assert ingest_class(shipped, 10, MIN_2EC) == shipped
+
+
+def _grow_afresh(monkeypatch, filtered: bool = True) -> None:
+    """Grow in fresh level caches, keeping every join unless ``filtered``: the
+    shipped caches come back with the monkeypatch."""
+    if not filtered:
+        monkeypatch.setattr(enumeration, "_last_is_least", lambda h, eligible: True)
+    for name in ("_connected", "_chorded_cycle_free", "_grow"):
+        fresh = lru_cache(maxsize=None)(getattr(enumeration, name).__wrapped__)
+        monkeypatch.setattr(enumeration, name, fresh)
+
+
+def _every_level(connected_top: int = 8) -> dict:
+    """Every level grown for the classes at n <= 8, min-2-edge-connected at
+    n <= 9, all-connected at n <= ``connected_top``."""
+    levels = {("chorded-cycle-free", n): enumeration._chorded_cycle_free(n) for n in range(1, 9)}
+    for flt in (ALL_CONN, *SMALL_K):
+        top = {ALL_CONN: connected_top, MIN_2EC: 9}.get(flt, 8)
+        for n in range(1, top + 1):
+            levels[flt.describe(), n] = enumeration._grow(n, flt)
+            if flt != ALL_CONN and n > 1:  # all-connected is its own level
+                levels["base of " + flt.describe(), n] = enumeration._base(n, flt)
+    return {key: [g for g, _ in level] for key, level in levels.items()}
+
+
+def test_canonical_deletion_filter_loses_no_class(monkeypatch):
+    shipped = _every_level()
+    # 11,117 connected graphs on 8 vertices (OEIS A001349), pairwise non-isomorphic:
+    # all of them, so that level is not grown a second time without the filter
+    assert len(shipped["all-connected", 8]) == 11117
+    _grow_afresh(monkeypatch, filtered=False)
+    every_join = _every_level(connected_top=7)
+    assert shipped.keys() - every_join.keys() == {("all-connected", 8)}
+    for key, level in every_join.items():
+        assert shipped[key] == level, key
+
+
+@pytest.mark.parametrize("joins,edges", [
+    # K_4, a vertex, K_4: the vertex between them is the least
+    ("_connected_joins", [*combinations(range(4), 2), *combinations(range(4, 8), 2), (3, 8), (8, 4)]),
+    # two triangles on a path: its middle vertex, (2, 4), is below the triangles' (2, 5)
+    ("_chorded_cycle_free_joins", [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6),
+                                   (6, 7), (7, 8), (6, 8)]),
+], ids=["connected", "chorded-cycle-free"])
+def test_canonical_deletion_ignores_a_least_cut_vertex(joins, edges):
+    # the smallest graphs, on 9 vertices, whose least invariant is at a cut
+    # vertex: ruling cut vertices eligible would lose them, and no class at
+    # n <= 8 shows that
+    target = Graph.from_edge_list(9, edges)
+    keys = [enumeration._invariant(target.degrees(), row) for row in target.adjacency_rows()]
+    cut = set(nx.articulation_points(nx.Graph(edges)))
+    assert min(keys) not in {keys[v] for v in range(9) if v not in cut}
+    below = {canonical_form(target.induced_subgraph(u for u in range(9) if u != v)).graph()
+             for v in range(9)}
+    grown = getattr(enumeration, joins)(9, lambda g, sets: sets if g in below else [])
+    assert canonical_form(target) in {canonical_form(h) for h in grown}
+
+
+@st.composite
+def relabelled_connected_graphs(draw):
+    """A connected graph and a relabelling that keeps its last vertex last."""
+    n = draw(st.integers(2, 10))
+    p = draw(st.sampled_from((0.0, 0.2, 0.35, 0.5, 0.8)))
+    rng = draw(st.randoms(use_true_random=False))
+    tree = [(rng.randrange(v), v) for v in range(1, n)]
+    g = Graph.from_edge_list(n, [*tree, *(e for e in pair_list(n) if rng.random() < p)])
+    return g, [*draw(st.permutations(range(n - 1))), n - 1]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(relabelled_connected_graphs())
+def test_canonical_deletion_filter_is_invariant_under_relabelling(drawn):
+    g, perm = drawn
+    h = perm_apply(g, perm)
+    def keys(x: Graph) -> list[tuple[int, int]]:
+        return [enumeration._invariant(x.degrees(), row) for row in x.adjacency_rows()]
+
+    assert [keys(h)[perm[v]] for v in range(g.n)] == keys(g)
+    cut = set(nx.articulation_points(nx.Graph(g.edges())))
+    assert [enumeration._non_cut(g, v) for v in range(g.n)] == [v not in cut for v in range(g.n)]
+    eligible = [enumeration._non_cut, enumeration._non_cut_of_degree_at_most_2,
+                *(lambda x, u, k=k: x.degree(u) == k for k in range(1, 5))]
+    for rule in eligible:
+        assert enumeration._last_is_least(g, rule) == enumeration._last_is_least(h, rule)
+
+
+def _scan7_call_counts(flt: ClassFilter, monkeypatch) -> tuple[int, int]:
+    """canonical_form and class-predicate calls of a growth to n = 7 from K_1."""
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(enumeration, "canonical_form", counted("form", canonical_form))
+    monkeypatch.setattr(ClassFilter, "passes", counted("passes", ClassFilter.passes))
+    assert len(enumeration._grow(7, flt)) == {MIN_2EC: 11, MIN_3C: 5}[flt]
+    return calls["form"], calls["passes"]
+
+
+@pytest.mark.parametrize("flt,shipped,every_join", [(MIN_2EC, (48, 29), (86, 56)),
+                                                    (MIN_3C, (58, 23), (141, 54))],
+                         ids=["min-2-edge-connected", "min-3-connected"])
+def test_canonical_deletion_filter_prunes_the_scan7_classes(flt, shipped, every_join, monkeypatch):
+    for filtered, want in ((True, shipped), (False, every_join)):
+        with monkeypatch.context() as m:
+            _grow_afresh(m, filtered)
+            assert _scan7_call_counts(flt, m) == want, filtered
