@@ -31,12 +31,17 @@ near alpha = 1 a Perron vector can span nine orders of magnitude, and a
 small entry eliminated last is lost in the rounding of the pivots before it.
 
 The iteration stops when the ratios agree to STOP_ULPS * n machine epsilons
-of sigma, above their rounding noise of about (k + 1) eps.  ``alpha_indices``
-starts each solve from the vector the component's last solve ended on, and
-a first solve, like ``spectral_radius``, from the degree vector,
-z_i = sqrt(N_i) d_i.  On every member of data/min2ec_n{8..12}.g6 at 201
-alphas that took at most 7 steps from the degree vector, and at most 6, 3 on
-average, warm; MAX_ITERATIONS caps it.
+of sigma, above their rounding noise of about (k + 1) eps.  A first solve,
+like ``spectral_radius``, starts from the degree vector, z_i = sqrt(N_i) d_i;
+``alpha_indices`` starts each other one from the Lagrange extrapolation to
+the new alpha of the (alpha, z) ends of the component's last PATH_POINTS
+solves while alpha moves one way (the last alone after a reversal or a
+repeated alpha), or from the last z where an entry of that is not positive.
+Only the start moves, so every certificate below is as rigorous as before.
+On every member of data/min2ec_n{8..12}.g6 at alpha = i/200 a warm solve took
+1.0-1.1 steps on average (2.9-3.6 from the last z alone), a cold one at most
+7; a poor positive prediction near alpha = 1 took up to 18.  MAX_ITERATIONS
+caps it.
 
 The certificate is taken on A_alpha itself, from the lifted x alone: the
 value, its Rayleigh quotient x^T A_alpha x / x^T x, both sums exact
@@ -51,7 +56,7 @@ the rounding in A_alpha, A_alpha x and the ratios (about (n + 2) eps / 2
 relative, all terms being nonnegative).
 
 At alpha = 1, A_1 = D is reducible, so rho is the maximum degree with the
-exact enclosure [Delta, Delta], and the warm-start vector is left as it was.
+exact enclosure [Delta, Delta], and the component's path is left as it was.
 A disconnected graph takes the maximum over its components, with the
 enclosure [max lo, max hi]; K_1 is the 1x1 zero matrix.
 
@@ -94,6 +99,7 @@ RESIDUAL_TOL = 1e-10  # Noda gives at most 1.7e-14 on data/min2ec_n{8..11}.g6, 2
 ENCLOSURE_SLACK_ULPS = 8  # per vertex, relative to the enclosure's magnitude
 STOP_ULPS = 4  # per vertex: the ratios' spread, relative to sigma, that ends a solve
 MAX_ITERATIONS = 32  # Noda steps per solve; the residual check judges the last iterate
+PATH_POINTS = 6  # the solves along alpha that a component's next start is extrapolated from
 EPS = sys.float_info.epsilon
 
 
@@ -210,7 +216,7 @@ def _perron(comp: _Component, a: float, start: list[float] | None = None):
 
     Noda's iteration runs on the symmetrized quotient from the positive
     quotient vector ``start``, or from the degree vector's if it is None; z is
-    its last iterate (``start`` itself where no iteration runs), and x the lift
+    its last iterate (None where no iteration runs), and x the lift
     of z to the component, with unit 2-norm and positive where A_a is
     irreducible.  The value, residual and enclosure are taken on A_a itself."""
     deg = comp.deg
@@ -220,7 +226,7 @@ def _perron(comp: _Component, a: float, start: list[float] | None = None):
         x = [float(d == top) for d in deg]
         scale = math.sqrt(sum(x))
         value = float(top)
-        return value, start, [t / scale for t in x], 0.0, value, value
+        return value, None, [t / scale for t in x], 0.0, value, value
     b = 1.0 - a
     mat = [[b * r for r in row] for row in comp.root]
     for i, d in enumerate(comp.cdeg):
@@ -244,6 +250,16 @@ def _perron(comp: _Component, a: float, start: list[float] | None = None):
         raise ConvergenceError(residual, RESIDUAL_TOL)
     slack = _slack(n)
     return value, z, x, residual, min(ratios) * (1 - slack), max(ratios) * (1 + slack)
+
+
+def _extrapolate(run: list[tuple[float, list[float]]], a: float) -> list[float] | None:
+    """The start at a from a run of (alpha, z) points: their Lagrange extrapolation
+    to a, or the last z if that has an entry <= 0 or the run one point; None if empty."""
+    if len(run) < 2:
+        return run[-1][1] if run else None
+    weights = [math.prod([(a - u) / (t - u) for u, _ in run if u != t]) for t, _ in run]
+    z = [sum(map(mul, weights, entries)) for entries in zip(*[v for _, v in run])]
+    return z if min(z) > 0 else run[-1][1]
 
 
 def _neighbour_sums(g: Graph) -> list[int]:
@@ -272,13 +288,17 @@ def alpha_indices(graphs: Sequence[Graph], alphas: Sequence[float]) -> AlphaIndi
     if not graphs:
         return out
     comps = [_components(g) for g in graphs]
-    starts = [[None] * len(c) for c in comps]  # the last quotient vector of each component
+    paths = [[[] for _ in c] for c in comps]  # each component's last (alpha, quotient vector)s
     terms = [_degree_terms(g) for g in graphs]
     widen = [1 + _slack(g.n) for g in graphs]
 
     def solve(row: int, col: int, a: float) -> None:
-        for i, comp in enumerate(comps[col]):
-            value, starts[col][i], _, residual, lower, upper = _perron(comp, a, starts[col][i])
+        for comp, path in zip(comps[col], paths[col]):
+            ahead = len(path) > 1 and (a - path[-1][0]) * (path[-1][0] - path[0][0]) > 0
+            run = path if ahead else path[-1:]  # the last point alone after a reversal or a repeat
+            value, z, _, residual, lower, upper = _perron(comp, a, _extrapolate(run, a))
+            if z is not None:  # None where no iteration ran: alpha = 1, K_1
+                path[:] = [*(p for p in run if p[0] != a), (a, z)][-PATH_POINTS:]
             for field, part in zip(out, (value, residual, lower, upper)):
                 field[row][col] = max(field[row][col], part)
 
@@ -366,28 +386,16 @@ def bound_lower_delta(g: Graph, alpha: float) -> float:
 # -- column-sum certificate ------------------------------------------------
 
 
-def column_sum_certificate(g: Graph, alphas) -> list[list[float]]:
-    """Column sums of B = A_alpha^2 - alpha*n*A_alpha + 2(2a-1)(n-2)*I, per alpha.
-
-    One list of n floats per alpha, from the closed form
-    alpha*d(u)^2 + (1-alpha)*S(u) - alpha*n*d(u) + 2(2a-1)(n-2), S(u) the
-    neighbour degree sum.  Once per graph the closed form is checked against
-    the matrix exactly, in Z[alpha]: A_alpha has d(u)*alpha on the diagonal and
-    1 - alpha at each edge, so the matrix route, the column sums c of A_alpha
-    and then cA_alpha - alpha*n*c plus the constant (1^T A^2 = (1^T A) A),
-    gives each column sum of B as integer coefficients of 1, alpha, alpha^2.
-    Any difference from the closed form's raises AssertionError; equal
-    polynomials agree at every alpha.  Per alpha only the closed form is
-    evaluated, so the floats do not depend on the check.
-    """
-    alphas = [validate_alpha(x) for x in alphas]
+def _column_sum_lines(g: Graph) -> list[tuple[int, int]]:
+    """Each column sum of B as (c0, c1), the sum being c0 + c1*alpha, checked
+    against the matrix route in Z[alpha] (see ``column_sum_certificate``)."""
     n = g.n
     deg = g.degrees()
-    sums = _neighbour_sums(g)
     nbrs = [list(bits(row)) for row in g.adjacency_rows()]
     col = [(len(nb), d - len(nb)) for d, nb in zip(deg, nbrs)]  # c_u as c0 + c1*alpha
     m = 2 * (n - 2)  # the constant 2(2a-1)(n-2) is 2m*alpha - m
-    for u, (d, s, nb, (c0, c1)) in enumerate(zip(deg, sums, nbrs, col)):
+    lines = []
+    for u, (d, s, nb, (c0, c1)) in enumerate(zip(deg, _neighbour_sums(g), nbrs, col)):
         e0, e1 = sum(col[w][0] for w in nb), sum(col[w][1] for w in nb)
         # column u of cA_alpha is c_u*(d*alpha) + the sum over w of c_w*(1 - alpha)
         by_matrix = (e0 - m, c0 * d + e1 - e0 - n * c0 + 2 * m, c1 * d - e1 - n * c1)
@@ -397,6 +405,29 @@ def column_sum_certificate(g: Graph, alphas) -> list[list[float]]:
                 f"column-sum closed form {closed} disagrees with the matrix {by_matrix}"
                 f" at vertex {u} (coefficients of 1, alpha, alpha^2)"
             )
+        lines.append(closed[:2])
+    return lines
+
+
+def column_sum_certificate(g: Graph, alphas) -> list[list[float]]:
+    """Column sums of B = A_alpha^2 - alpha*n*A_alpha + 2(2a-1)(n-2)*I, per alpha.
+
+    One list of n floats per alpha, from the closed form
+    alpha*d(u)^2 + (1-alpha)*S(u) - alpha*n*d(u) + 2(2a-1)(n-2), S(u) the
+    neighbour degree sum.  Once per call the closed form is checked against
+    the matrix exactly, in Z[alpha]: A_alpha has d(u)*alpha on the diagonal and
+    1 - alpha at each edge, so the matrix route, the column sums c of A_alpha
+    and then cA_alpha - alpha*n*c plus the constant (1^T A^2 = (1^T A) A),
+    gives each column sum of B as integer coefficients of 1, alpha, alpha^2.
+    Any difference from the closed form's raises AssertionError; equal
+    polynomials agree at every alpha.  Per alpha only the closed form is
+    evaluated, so the floats do not depend on the check.
+    """
+    alphas = [validate_alpha(x) for x in alphas]
+    _column_sum_lines(g)
+    n = g.n
+    deg = g.degrees()
+    sums = _neighbour_sums(g)
     squares = [d * d for d in deg]
     out = []
     for a in alphas:
@@ -405,3 +436,13 @@ def column_sum_certificate(g: Graph, alphas) -> list[list[float]]:
         const = 2.0 * (2.0 * a - 1.0) * (n - 2)
         out.append([a * dd + b * s - an * d + const for d, dd, s in zip(deg, squares, sums)])
     return out
+
+
+def column_sums_negative(g: Graph, alphas) -> bool:
+    """Whether every column sum of B is negative at every alpha, decided exactly:
+    the identity check of ``column_sum_certificate`` proves each sum affine,
+    c0 + c1*alpha, so it is negative on the grid iff it is at the grid's ends,
+    each read as the exact ratio p/q of its float: q*c0 + p*c1 < 0."""
+    alphas = sorted(validate_alpha(x) for x in alphas)
+    ends = [a.as_integer_ratio() for a in alphas[:1] + alphas[-1:]]
+    return all(q * c0 + p * c1 < 0 for c0, c1 in _column_sum_lines(g) for p, q in ends)

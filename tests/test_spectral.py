@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -21,6 +22,7 @@ from alphax.spectral import (
     bound_upper_degree,
     bound_upper_edge,
     column_sum_certificate,
+    column_sums_negative,
     spectral_radius,
     validate_alpha,
 )
@@ -46,6 +48,7 @@ from helpers import (
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 DATA_FILE = DATA_DIR / "min2ec_n8.g6"
+ASCENDING_128 = [0.5 + 0.49 * (i + 0.5) / 128 for i in range(128)]  # sweep8's range
 
 
 def test_build_alpha_matrix_entries():
@@ -223,24 +226,133 @@ def test_shipped_class_at_201_alphas(n):
             assert residual <= RESIDUAL_TOL
 
 
-def test_each_solve_starts_where_the_last_one_ended(monkeypatch):
-    ends = {}  # the quotient vector each component's last solve ended on
+def _lagrange(points, a):
+    """Neville's scheme: the polynomial through the (alpha, vector) points, at a."""
+    table = [list(v) for _, v in points]
+    ts = [t for t, _ in points]
+    for width in range(1, len(points)):
+        table = [[((a - ts[i + width]) * p + (ts[i] - a) * q) / (ts[i] - ts[i + width])
+                  for p, q in zip(table[i], table[i + 1])] for i in range(len(table) - 1)]
+    return table[0]
+
+
+def _check_starts(monkeypatch, graphs, alphas):
+    """Run alpha_indices, checking every start against the rule: the polynomial
+    through the component's last solves, up to PATH_POINTS of them, while alpha
+    moves one way, else (or if an entry is not positive) the last vector; the
+    degree vector (None) on a first solve.  Solves at alpha = 1, and on K_1,
+    record nothing.  Returns the kind of each start at alpha < 1, per alpha."""
+    history = {}  # id(component) -> the (alpha, vector) each recorded solve ended on
+    kinds = []
     perron = spectral._perron
 
     def checking_perron(comp, a, start):
-        assert start is ends.get(id(comp))  # None: the first solve starts cold
+        done = history.setdefault(id(comp), [])
         result = perron(comp, a, start)
-        ends[id(comp)] = result[1]
+        if a == 1.0:
+            assert result[1] is None
+            return result
+        if not done:
+            kind, want = "cold", None
+        else:
+            run = done[-1:]
+            for point in reversed(done[:-1]):
+                if len(run) == spectral.PATH_POINTS or (run[0][0] - point[0]) * (a - run[-1][0]) <= 0:
+                    break
+                run.insert(0, point)
+            kind, want = "last", done[-1][1]
+            if len(run) > 1 and (a - run[-1][0]) * (run[-1][0] - run[-2][0]) > 0:
+                kind, want = "extrapolated", _lagrange(run, a)
+                if min(want) <= 0:
+                    kind, want = "fallback", done[-1][1]
+        if kind == "extrapolated":
+            assert start == pytest.approx(want, rel=1e-9, abs=0)
+        else:
+            assert start is want, kind
+        kinds.append((a, kind))
+        if result[1] is not None:
+            done.append((a, result[1]))
         return result
 
-    monkeypatch.setattr(spectral, "_perron", checking_perron)
-    graphs = [disjoint_union(make_wheel(7), make_path(5)), make_friendship(3)]
-    alpha_indices(graphs, [0.5, 0.9, 1.0, 0.7, 0.0])
-    assert len(ends) == 3 and all(ends.values())
+    with monkeypatch.context() as patched:
+        patched.setattr(spectral, "_perron", checking_perron)
+        alpha_indices(graphs, alphas)
+    return kinds, history
+
+
+def test_a_monotone_run_starts_from_the_extrapolated_path(monkeypatch):
+    members = parse_graph6_lines(DATA_FILE.read_text())
+    for alphas in (ASCENDING_128, ASCENDING_128[::-1]):
+        kinds, _ = _check_starts(monkeypatch, members, alphas)
+        # a member's second solve starts from its first; no prediction here is negative
+        assert collections.Counter(kind for _, kind in kinds) == {
+            "cold": 3, "last": 3, "extrapolated": 378}
+
+
+def test_a_reversal_or_a_repeated_alpha_keeps_only_the_last_point(monkeypatch):
+    alphas = [0.5, 0.6, 0.7, 0.65, 0.6, 0.6, 0.5, 0.8, 0.9, 0.9]
+    kinds, _ = _check_starts(monkeypatch, [make_wheel(7)], alphas)
+    assert [kind for _, kind in kinds] == [
+        "cold", "last", "extrapolated",
+        "last", "extrapolated",  # 0.7 -> 0.65 reverses, 0.6 continues down
+        "last", "last", "last",  # 0.6 repeats, 0.5 has one point behind it, 0.8 reverses
+        "extrapolated", "last"]
+
+
+def test_alpha_one_leaves_the_path_unchanged(monkeypatch):
+    # 0.8, 0.7 run downwards; 0.6 continues that run across alpha = 1
+    alphas = [0.9, 0.8, 1.0, 0.7, 1.0, 1.0, 0.6]
+    kinds, _ = _check_starts(monkeypatch, [make_friendship(3)], alphas)
+    assert [kind for _, kind in kinds] == ["cold", "last", "extrapolated", "extrapolated"]
+
+
+def test_a_prediction_that_is_not_positive_falls_back_to_the_last_vector(monkeypatch):
+    # the leaves' entries of K_{1,5} fall fast near alpha = 1; the line through
+    # alpha = 0.5 and 0.9 is negative there at 0.99
+    kinds, _ = _check_starts(monkeypatch, [make_complete_bipartite(1, 5)], [0.5, 0.9, 0.99])
+    assert kinds == [(0.5, "cold"), (0.9, "last"), (0.99, "fallback")]
+    path = [(0.5, [1.0, 0.2]), (0.6, [1.0, 0.1])]
+    assert spectral._extrapolate(path, 0.8) is path[-1][1]
+    assert spectral._extrapolate(path, 0.55) == pytest.approx([1.0, 0.15])
+    assert spectral._extrapolate(path[:1], 0.8) is path[0][1]
+    assert spectral._extrapolate([], 0.8) is None
+
+
+def test_each_component_follows_its_own_path(monkeypatch):
+    # two graphs, so both are solved at every alpha; K_1 records no solve
+    graphs = [disjoint_union(disjoint_union(make_wheel(7), make_path(5)), make_path(1)),
+              make_friendship(3)]
+    alphas = [0.5, 0.6, 0.7, 1.0, 0.8, 0.75, 0.0]
+    _, history = _check_starts(monkeypatch, graphs, alphas)
+    assert sorted(map(len, history.values())) == [0, 6, 6, 6]
+
+
+def test_warm_solves_take_about_one_noda_step(monkeypatch):
+    # the sweep8 shape: every n = 8 member, 128 ascending alphas in [0.5, 0.99]
+    members = parse_graph6_lines(DATA_FILE.read_text())
+    steps = {"warm": 0, "shifted": 0}
+    perron, shifted = spectral._perron, spectral._shifted_solve
+    warm = False
+
+    def counting_perron(comp, a, start):
+        nonlocal warm
+        warm = start is not None
+        steps["warm"] += warm
+        return perron(comp, a, start)
+
+    def counting_shifted(mat, sigma, rhs):
+        steps["shifted"] += warm
+        return shifted(mat, sigma, rhs)
+
+    monkeypatch.setattr(spectral, "_perron", counting_perron)
+    monkeypatch.setattr(spectral, "_shifted_solve", counting_shifted)
+    alpha_indices(members, ASCENDING_128)
+    assert steps["warm"] == 381  # 384 solves, of which one cold per solved member
+    assert steps["shifted"] / steps["warm"] <= 1.2
 
 
 def test_alpha_order_does_not_change_the_values():
-    # each solve starts from the vector the last one found, so the three
+    # each solve starts from the component's path along alpha, so the three
     # orders start every alpha from different vectors
     ascending = [i / 200 for i in range(201)]
     descending = ascending[::-1]
@@ -598,6 +710,55 @@ def test_certificate_floats_are_those_of_the_float_loop(capsys):
         assert code == (0 if all(max(row) < 0 for row in want) else 1)
 
 
+def _float_verdict(g, alphas):
+    """The per-alpha float rule that the exact verdict replaced."""
+    return not any(max(sums) >= 0 for sums in column_sum_certificate(g, alphas))
+
+
+VERDICT_GRIDS = ([0.5 + i / 256 for i in range(128)], [0.0, -0.0, 0.5, 1.0])
+
+
+def test_the_exact_verdict_is_the_float_rule_on_the_class_files():
+    # the grids' floats are exact here (small integers times 1/256), so the
+    # per-alpha floats read the true signs
+    files = [DATA_DIR / f"min2ec_n{n}.g6" for n in range(8, 13)]
+    files += sorted((Path(__file__).resolve().parent / "data").glob("*_n8.g6"))
+    verdicts = collections.Counter()
+    for path in files:
+        for g in parse_graph6_lines(path.read_text()):
+            for grid in VERDICT_GRIDS:
+                verdict = column_sums_negative(g, grid)
+                assert verdict == _float_verdict(g, grid), (path.name, write_graph6(g), grid)
+                verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def test_the_exact_verdict_is_the_float_rule_on_random_graphs():
+    rng = random.Random(30)
+    graphs = [random_graph(rng, rng.randint(2, 12), rng.random()) for _ in range(200)]
+    for g in graphs + [make_path(1), make_cycle(4), make_complete_bipartite(3, 3)]:
+        for grid in VERDICT_GRIDS:
+            assert column_sums_negative(g, grid) == _float_verdict(g, grid)
+            for a in grid[::16]:  # one alpha alone, its own smallest and largest
+                assert column_sums_negative(g, [a]) == _float_verdict(g, [a])
+    # exactly zero column sums are not negative
+    for g in (make_cycle(4), make_complete_bipartite(3, 3)):
+        assert column_sum_certificate(g, [0.5]) == [[0.0] * g.n]
+        assert not column_sums_negative(g, [0.5])
+        assert main(["certify-colsums", write_graph6(g), "--alphas", "0.5"]) == 1
+
+
+def test_the_exact_verdict_reads_the_ends_of_the_grid():
+    # every column sum of C_8 is S - 2(n-2) + (d^2 - S - n*d + 4(n-2))*alpha = -8 + 8*alpha
+    g = make_cycle(8)
+    assert set(spectral._column_sum_lines(g)) == {(-8, 8)}
+    assert column_sums_negative(g, [0.5, 0.0, 1 - 2**-53])
+    assert not column_sums_negative(g, [0.5, 1.0, 0.25])  # zero at alpha = 1
+    assert column_sums_negative(g, [])  # no alpha, nothing to refute
+    with pytest.raises(ValueError):
+        column_sums_negative(g, [0.5, 1.5])
+
+
 @pytest.mark.parametrize("g", [make_cycle(5), make_complete_bipartite(2, 6), make_wheel(7)],
                          ids=["C5", "K2,6", "W7"])
 def test_the_exact_check_catches_a_closed_form_off_by_one(monkeypatch, g):
@@ -605,5 +766,6 @@ def test_the_exact_check_catches_a_closed_form_off_by_one(monkeypatch, g):
     true_sums = spectral._neighbour_sums
     monkeypatch.setattr(spectral, "_neighbour_sums",
                         lambda h: [s + (u == 1) for u, s in enumerate(true_sums(h))])
-    with pytest.raises(AssertionError, match="at vertex 1 "):
-        column_sum_certificate(g, [0.5])
+    for check in (column_sum_certificate, column_sums_negative):  # GRAPH mode, class mode
+        with pytest.raises(AssertionError, match="at vertex 1 "):
+            check(g, [0.5])
