@@ -202,16 +202,15 @@ def _cmd_certify_colsums(args) -> int:
             raise UsageError(f"no {flt.describe()} graph on {args.n} vertices to check")
     else:
         raise UsageError("give a GRAPH argument or both --class and --n")
-    all_negative = all([column_sums_negative(g, alphas) for g in graphs])  # checks every graph
     if args.graph:
-        for alpha, sums in zip(alphas, column_sum_certificate(graphs[0], alphas)):
+        rows = column_sum_certificate(graphs[0], alphas)
+        for alpha, sums in zip(alphas, rows):
             joined = " ".join(f"{s:.9g}" for s in sums)
             print(f"alpha={alpha!r} colsums: {joined}")
-    else:
-        print(
-            f"checked {_count(graphs, 'graph')} x {_count(alphas, 'alpha')}: "
-            + ("all column sums negative" if all_negative else "nonnegative column sum found")
-        )
+        return 0 if all(s < 0 for sums in rows for s in sums) else 1
+    all_negative = all([column_sums_negative(g, alphas) for g in graphs])  # checks every graph
+    verdict = "all column sums negative" if all_negative else "nonnegative column sum found"
+    print(f"checked {_count(graphs, 'graph')} x {_count(alphas, 'alpha')}: {verdict}")
     return 0 if all_negative else 1
 
 

@@ -387,8 +387,13 @@ def bound_lower_delta(g: Graph, alpha: float) -> float:
 
 
 def _column_sum_lines(g: Graph) -> list[tuple[int, int]]:
-    """Each column sum of B as (c0, c1), the sum being c0 + c1*alpha, checked
-    against the matrix route in Z[alpha] (see ``column_sum_certificate``)."""
+    """Each column sum of B as (c0, c1), the sum being c0 + c1*alpha: the closed
+    form alpha*d(u)^2 + (1-alpha)*S(u) - alpha*n*d(u) + 2(2a-1)(n-2), S(u) the
+    neighbour degree sum, checked against the matrix exactly, in Z[alpha].
+    A_alpha has d(u)*alpha on the diagonal and 1 - alpha at each edge, so
+    1^T B = (1^T A_alpha)(A_alpha - alpha*n*I) + the constant gives each column
+    sum as integer coefficients of 1, alpha, alpha^2; any difference raises
+    AssertionError, and equal polynomials agree at every alpha."""
     n = g.n
     deg = g.degrees()
     nbrs = [list(bits(row)) for row in g.adjacency_rows()]
@@ -410,39 +415,19 @@ def _column_sum_lines(g: Graph) -> list[tuple[int, int]]:
 
 
 def column_sum_certificate(g: Graph, alphas) -> list[list[float]]:
-    """Column sums of B = A_alpha^2 - alpha*n*A_alpha + 2(2a-1)(n-2)*I, per alpha.
-
-    One list of n floats per alpha, from the closed form
-    alpha*d(u)^2 + (1-alpha)*S(u) - alpha*n*d(u) + 2(2a-1)(n-2), S(u) the
-    neighbour degree sum.  Once per call the closed form is checked against
-    the matrix exactly, in Z[alpha]: A_alpha has d(u)*alpha on the diagonal and
-    1 - alpha at each edge, so the matrix route, the column sums c of A_alpha
-    and then cA_alpha - alpha*n*c plus the constant (1^T A^2 = (1^T A) A),
-    gives each column sum of B as integer coefficients of 1, alpha, alpha^2.
-    Any difference from the closed form's raises AssertionError; equal
-    polynomials agree at every alpha.  Per alpha only the closed form is
-    evaluated, so the floats do not depend on the check.
-    """
-    alphas = [validate_alpha(x) for x in alphas]
-    _column_sum_lines(g)
-    n = g.n
-    deg = g.degrees()
-    sums = _neighbour_sums(g)
-    squares = [d * d for d in deg]
-    out = []
-    for a in alphas:
-        b = 1.0 - a
-        an = a * n
-        const = 2.0 * (2.0 * a - 1.0) * (n - 2)
-        out.append([a * dd + b * s - an * d + const for d, dd, s in zip(deg, squares, sums)])
-    return out
+    """Column sums of B = A_alpha^2 - alpha*n*A_alpha + 2(2a-1)(n-2)*I: per alpha,
+    n floats, each the exact sum rounded once.  Each checked line c0 + c1*alpha
+    of ``_column_sum_lines`` is read at the float alpha's exact ratio p/q as
+    (q*c0 + p*c1) / q; int/int division rounds correctly, so every sign and
+    every zero is exact."""
+    ratios = [validate_alpha(x).as_integer_ratio() for x in alphas]
+    lines = _column_sum_lines(g)
+    return [[(q * c0 + p * c1) / q for c0, c1 in lines] for p, q in ratios]
 
 
 def column_sums_negative(g: Graph, alphas) -> bool:
-    """Whether every column sum of B is negative at every alpha, decided exactly:
-    the identity check of ``column_sum_certificate`` proves each sum affine,
-    c0 + c1*alpha, so it is negative on the grid iff it is at the grid's ends,
-    each read as the exact ratio p/q of its float: q*c0 + p*c1 < 0."""
+    """Whether every column sum of B is negative at every alpha.  Each sum is
+    affine in alpha (see ``_column_sum_lines``), so the exact signs at the
+    grid's smallest and largest alpha decide."""
     alphas = sorted(validate_alpha(x) for x in alphas)
-    ends = [a.as_integer_ratio() for a in alphas[:1] + alphas[-1:]]
-    return all(q * c0 + p * c1 < 0 for c0, c1 in _column_sum_lines(g) for p, q in ends)
+    return all(s < 0 for sums in column_sum_certificate(g, alphas[:1] + alphas[-1:]) for s in sums)

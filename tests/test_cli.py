@@ -10,7 +10,7 @@ import pytest
 
 from alphax import spectral, verify
 from alphax.canonical import canonical_form
-from alphax.cli import main
+from alphax.cli import build_parser, main
 from alphax.graph6 import parse_graph6_lines, write_graph6
 from alphax.families import make_complete_bipartite, make_cycle, make_friendship, make_wheel
 
@@ -217,6 +217,35 @@ def test_certify_colsums_boundary_graph_fails(capsys):
     # K_{2,6} at alpha=1/2 has all-zero column sums: not strictly negative
     code, out, _ = run(capsys, "certify-colsums", "K2,6", "--alphas", "0.5")
     assert code == 1
+
+
+def test_certify_colsums_prints_exact_zeros_and_signs(capsys):
+    # every column sum of K_{2,6} is identically 0 (c0 = c1 = 0), so 0 at 0.01 too
+    code, out, _ = run(capsys, "certify-colsums", "K2,6", "--alphas", "0.01")
+    assert (code, out) == (1, "alpha=0.01 colsums: 0 0 0 0 0 0 0 0\n")
+    # a min-3-edge-connected member whose last two sums lie 2^-54 below 0 at float(0.2)
+    code, out, _ = run(capsys, "certify-colsums", "GwC[rK", "--alphas", "0.2")
+    assert code == 0
+    assert out.split()[-2:] == ["-5.55111512e-17"] * 2
+
+
+def test_certify_colsums_graph_mode_exits_by_the_printed_signs(capsys):
+    # on alpha = 0.00, 0.01, ..., 1.00 as one grid and each alpha alone; one
+    # parser serves every command, as building it costs more than the command
+    alphas = [f"{i / 100:.2f}" for i in range(101)]
+    files = [CLASS_FILE_N8, *sorted((Path(__file__).resolve().parent / "data").glob("*_n8.g6"))]
+    parser = build_parser()
+    codes = set()
+    for path in files:
+        for g in parse_graph6_lines(path.read_text()):
+            for grid in [",".join(alphas), *alphas]:
+                args = parser.parse_args(["certify-colsums", write_graph6(g), "--alphas", grid])
+                code, out = args.func(args), capsys.readouterr().out
+                sums = [float(s) for line in out.splitlines() for s in line.split(": ")[1].split()]
+                assert len(sums) == len(grid.split(",")) * g.n
+                assert code == (0 if all(s < 0 for s in sums) else 1), (write_graph6(g), grid)
+                codes.add(code)
+    assert codes == {0, 1}
 
 
 def test_certify_colsums_class_mode(capsys):

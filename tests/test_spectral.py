@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -640,26 +641,35 @@ def test_certificate_two_routes_agree():
         assert np.max(np.abs(np.asarray(sums) - b.sum(axis=0))) <= 1e-9
 
 
-def test_certificate_grid_matches_scalar_loop_exactly():
-    # the grid keeps the scalar formula's operation order, so the floats
-    # agree bit for bit, on the whole grid and on one-alpha grids
+def _exact_column_sums(g, a):
+    """The column sums of B at the float a read exactly, from A_alpha built
+    edge by edge in Fractions."""
+    a = Fraction(a)
+    n = g.n
+    mat = [[a * g.degree(u) if u == w else (1 - a) * g.has_edge(u, w) for w in range(n)]
+           for u in range(n)]
+    const = 2 * (2 * a - 1) * (n - 2)
+    sums = [0] * n
+    for i in range(n):
+        for j in range(n):
+            entry = sum(mat[i][k] * mat[k][j] for k in range(n)) - a * n * mat[i][j]
+            sums[j] += entry + const * (i == j)
+    return sums
+
+
+def test_certificate_floats_are_the_exact_sums_rounded_once():
+    # every returned float is the exact column sum at the float alpha, rounded
+    # once, on the whole grid and on one-alpha grids
     rng = random.Random(7)
-    grid = [0.0, 0.25, 0.5, 0.6, 0.75, 0.9, 1.0]
+    grid = [0.0, -0.0, 0.25, 0.5, 0.6, 0.75, 0.9, 1.0, 1 - 2**-53]
+    seeded = random.Random(31)
+    grid += [seeded.random() for _ in range(20)]
     for _ in range(10):
         g = random_graph(rng, rng.randint(2, 10), 0.5)
-        n = g.n
         rows = column_sum_certificate(g, grid)
-        sums = neighbor_degree_sums(g)
         for a, row in zip(grid, rows):
             assert column_sum_certificate(g, [a]) == [row]
-            const = 2.0 * (2.0 * a - 1.0) * (n - 2)
-            assert row == [
-                a * g.degree(u) ** 2
-                + (1.0 - a) * sums[u]
-                - a * n * g.degree(u)
-                + const
-                for u in range(g.n)
-            ]
+            assert _bits_of([row]) == _bits_of([[float(s) for s in _exact_column_sums(g, a)]])
 
 
 def _float_certificate(g, alphas):
