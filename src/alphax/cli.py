@@ -99,19 +99,21 @@ def _class_graphs(flt: ClassFilter, args) -> list[Graph]:
 
 
 def _report_format(out: str | None):
+    """The report writer for the --out path: JSON, also on stdout, or CSV."""
     if out is None or out.endswith(".json"):
-        return verify.reports_to_json
+        return verify.write_json
     if out.endswith(".csv"):
-        return verify.reports_to_csv
+        return verify.write_csv
     raise UsageError(f"report path must end in .json or .csv, got {out!r}")
 
 
-def _write_text(text: str, out: str | None) -> None:
+def _write(out: str | None, write) -> None:
+    """Call ``write`` on the --out file, or on stdout without one."""
     if out:
         with open(out, "w", encoding="ascii") as fh:
-            fh.write(text)
+            write(fh)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
 
 
 def _bounds_text(g: Graph, alpha: float) -> str:
@@ -152,7 +154,7 @@ def _cmd_enumerate(args) -> int:
     members = _class_graphs(flt, args)
     if args.infile and not members:
         raise UsageError(f"no {flt.describe()} graph on {args.n} vertices in {args.infile}")
-    _write_text(write_graph6_lines(members), args.out)
+    _write(args.out, lambda fh: fh.write(write_graph6_lines(members)))
     print(f"{flt.describe()} n={args.n}: {_count(members, 'graph')}", file=sys.stderr)
     return 0
 
@@ -171,9 +173,9 @@ def _cmd_verify(args) -> int:
         raise UsageError("--n is required for theorem checks")
     alphas = _parse_alphas(args.alphas)
     source = _read_class_file(args.infile) if args.infile else None
-    serialize = _report_format(args.out)  # a bad suffix fails before the campaign
+    write = _report_format(args.out)  # a bad suffix fails before the campaign
     reports = verify.verify_theorem(args.target, args.n, alphas, source_graphs=source)
-    _write_text(serialize(reports), args.out)
+    _write(args.out, lambda fh: write(reports, fh))
     for r in reports:
         print(
             f"{r.class_name} n={r.n} alpha={r.alpha!r}: size={r.class_size} "

@@ -76,7 +76,8 @@ at most the second-largest value overall, so a graph left out has
 rho <= B < runner-up - TIE_TOL: it cannot be the maximum, the runner-up or
 tied with the maximum, and B, which stands in for its enclosure, lies below
 the maximizer's lower end.  Its value, lower end and residual read -inf and
-its upper end reads B.
+its upper end reads B.  A graph's components, quotients and alpha paths
+are built at its first solve, so a graph never solved costs only its B.
 
 The test oracle ``helpers.eig_rho`` is a LAPACK eigensolve of a matrix the
 tests build edge by edge, so it is independent of this solver; so are the
@@ -287,13 +288,16 @@ def alpha_indices(graphs: Sequence[Graph], alphas: Sequence[float]) -> AlphaIndi
     out = AlphaIndices(*([[-math.inf] * count for _ in alphas] for _ in range(4)))
     if not graphs:
         return out
-    comps = [_components(g) for g in graphs]
-    paths = [[[] for _ in c] for c in comps]  # each component's last (alpha, quotient vector)s
+    # per solved graph, each component with its last (alpha, quotient vector)s,
+    # built at the graph's first solve: most graphs are never solved
+    parts: dict[int, list[tuple[_Component, list]]] = {}
     terms = [_degree_terms(g) for g in graphs]
     widen = [1 + _slack(g.n) for g in graphs]
 
     def solve(row: int, col: int, a: float) -> None:
-        for comp, path in zip(comps[col], paths[col]):
+        if col not in parts:
+            parts[col] = [(comp, []) for comp in _components(graphs[col])]
+        for comp, path in parts[col]:
             ahead = len(path) > 1 and (a - path[-1][0]) * (path[-1][0] - path[0][0]) > 0
             run = path if ahead else path[-1:]  # the last point alone after a reversal or a repeat
             value, z, _, residual, lower, upper = _perron(comp, a, _extrapolate(run, a))

@@ -12,10 +12,15 @@ Report serialization is deterministic: members are already in canonical
 order, floats are rounded to 9 significant digits, and the keys are tool and
 version followed by SearchReport's fields in declaration order.  The
 runtime_ms field is the one exception, it obviously varies run to run.
+``write_json`` and ``write_csv`` stream a report to a text file one row per
+write: every row repeats the alpha grid, so the whole text grows with the
+grid's square, while a row grows with the grid alone.  ``reports_to_json``
+and ``reports_to_csv`` return the same text as one string.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import time
 from typing import Callable, NamedTuple
@@ -124,29 +129,46 @@ def _json_list(items) -> str:
     return "[\n      " + ",\n      ".join(map(json.dumps, items)) + "\n    ]"
 
 
-def reports_to_json(reports) -> str:
-    """Exactly ``json.dumps([r.to_dict() for r in reports], indent=2) + "\\n"``."""
+def write_json(reports, fh) -> None:
+    """Write ``json.dumps([r.to_dict() for r in reports], indent=2) + "\\n"`` to
+    the text file fh, one row per ``fh.write``."""
     keys = {k: json.dumps(k) for k in CSV_COLUMNS}
-    rows = [
-        "  {\n" + ",\n".join(f"    {keys[k]}: {v}" for k, v in row.items()) + "\n  }"
-        for row in _encoded_rows(reports, lambda _, v: json.dumps(v), _json_list)
-    ]
-    return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
+    sep = "[\n"
+    for row in _encoded_rows(reports, lambda _, v: json.dumps(v), _json_list):
+        fh.write(sep + "  {\n" + ",\n".join(f"    {keys[k]}: {v}" for k, v in row.items())
+                 + "\n  }")
+        sep = ",\n"
+    fh.write("[]\n" if sep == "[\n" else "\n]\n")
 
 
 def _csv_scalar(key: str, value):
     return f"{value:.9g}" if key in ROUNDED_KEYS and value is not None else value
 
 
-def reports_to_csv(reports) -> str:
+def write_csv(reports, fh) -> None:
+    """Write the header and one row per report to the text file fh, one line per ``fh.write``."""
     import csv  # imported here: no campaign that writes JSON needs it
-    import io
 
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
+    writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
     writer.writerows(_encoded_rows(reports, _csv_scalar, lambda v: ";".join(map(str, v))))
+
+
+def _text(write, reports) -> str:
+    """What ``write`` writes for the reports, as one string."""
+    buf = io.StringIO()
+    write(reports, buf)
     return buf.getvalue()
+
+
+def reports_to_json(reports) -> str:
+    """The text ``write_json`` writes."""
+    return _text(write_json, reports)
+
+
+def reports_to_csv(reports) -> str:
+    """The text ``write_csv`` writes."""
+    return _text(write_csv, reports)
 
 
 def certified_unique(lower, upper, winner: int) -> bool:

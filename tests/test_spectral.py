@@ -206,11 +206,21 @@ def test_only_contenders_are_solved(monkeypatch):
         solves.append(comp)
         return perron(comp, a, start)
 
+    built = []
+    components = spectral._components
+
+    def counting_components(g):
+        built.append(g)
+        return components(g)
+
     monkeypatch.setattr(spectral, "_perron", counting_perron)
+    monkeypatch.setattr(spectral, "_components", counting_components)
     out = alpha_indices(members, [0.5 + i / 256 for i in range(128)])
     # 384 of 128 * 23 = 2,944 (alpha, member) pairs: every member is connected
     assert len(solves) == sum(map(math.isfinite, itertools.chain(*out.value))) == 384
     assert all(comp.mask == (1 << 8) - 1 for comp in solves)  # one solve per member
+    # quotients only for the 3 members ever solved, each once
+    assert len(built) == sum(any(map(math.isfinite, col)) for col in zip(*out.value)) == 3
 
 
 @pytest.mark.parametrize("n", [8, 9])

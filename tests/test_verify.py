@@ -3,13 +3,14 @@ import io
 import json
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from alphax import verify
+from alphax import cli, verify
 from alphax.enumeration import ClassFilter, generation_notes
 from alphax.families import (
     make_complete,
@@ -201,6 +202,28 @@ def test_json_writer_is_json_dumps():
     ):
         want = json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
         assert verify.reports_to_json(reports) == want
+
+
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+def test_cli_streams_its_report(tmp_path, suffix):
+    # every row repeats the alpha grid, so the text grows with its square and
+    # a row with the grid alone: 512 alphas make a file of several MB
+    path = tmp_path / f"r{suffix}"
+    grid = ",".join(str(0.5 + i / 1024) for i in range(512))
+    tracemalloc.start()
+    try:
+        code = cli.main(["verify", "thm11-odd", "--n", "7", "--alphas", grid, "--out", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    text = path.read_text()
+    assert peak < len(text) / 2
+    if suffix == ".json":
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    else:
+        reader = csv.DictReader(io.StringIO(text))
+        assert reader.fieldnames == verify.CSV_COLUMNS and len(list(reader)) == 512
 
 
 @pytest.mark.parametrize("target", ["thm11-odd", "thm12"])
